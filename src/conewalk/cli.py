@@ -8,7 +8,7 @@ carries header comments naming the tool version, the config hash, and
 the tolerance ladder.
 
 Exit codes: 0 success, 1 hard validation or check failure, 2 numerical
-non-convergence, 3 I/O or config errors.
+non-convergence, 3 I/O, config or input errors.
 """
 
 from __future__ import annotations
@@ -18,21 +18,23 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .cone import ConeGeometry, build_cone, build_cone_from_angles
-from .errors import NonConvergenceError
+from .errors import DomainSizeError, NonConvergenceError
 from .harmonic import build_h, check_positive, spec_for_direction, spec_for_endpoint
 from .montecarlo import martin_ratio_table
 from .solver import build_domain, harmonicity_residual
 from .steplaw import StepLaw, validate_model
-from .tiltgeom import boundary_arc, boundary_polyline, normal_direction
+from .tiltgeom import (ANGLE_TOL, CLASSIFY_TOL, LEVEL_TOL, boundary_arc,
+                       boundary_polyline, normal_direction)
 
-TOLERANCE_LADDER = "level_residual=1e-12 angular=1e-08 boundary_classify=1e-10"
+TOLERANCE_LADDER = (f"level_residual={LEVEL_TOL:g} angular={ANGLE_TOL:g} "
+                    f"boundary_classify={CLASSIFY_TOL:g}")
 
 
 class ConfigError(ValueError):
@@ -41,13 +43,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class ModelConfig:
-    """Parsed model: step law, cone, solve radius, seed, overrides."""
+    """Parsed model: step law, cone, solve radius, seed."""
 
     law: StepLaw
     cone: ConeGeometry
     radius: int
     seed: int
-    tolerances: dict[str, float] = field(default_factory=dict)
     source_text: str = ""
     name: str = "model"
 
@@ -60,7 +61,6 @@ def parse_config_text(text: str, name: str = "model") -> ModelConfig:
     atoms: list[list[float]] = []
     cone_dirs = cone_angles = None
     radius = seed = None
-    tolerances: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -84,10 +84,6 @@ def parse_config_text(text: str, name: str = "model") -> ModelConfig:
                 radius = int(args[0])
             elif key == "seed":
                 seed = int(args[0])
-            elif key == "tolerance":
-                if len(args) != 2:
-                    raise ValueError("expects a name and a value")
-                tolerances[args[0]] = float(args[1])
             else:
                 raise ValueError("unknown key")
         except (ValueError, IndexError) as exc:
@@ -112,7 +108,7 @@ def parse_config_text(text: str, name: str = "model") -> ModelConfig:
         raise ConfigError(f"field 'radius': {radius} is below twice the "
                           f"max jump {law.max_jump}")
     return ModelConfig(law=law, cone=cone, radius=radius, seed=seed,
-                       tolerances=tolerances, source_text=text, name=name)
+                       source_text=text, name=name)
 
 
 def parse_config(path: str | Path) -> ModelConfig:
@@ -373,6 +369,12 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
+    except (DomainSizeError, ValueError, KeyError) as exc:
+        # Input only the library can reject: a domain over the state cap, a
+        # direction outside the sector, a malformed option, a probe off the
+        # domain.  KeyError's str() quotes its message, so print args[0].
+        print(f"invalid input: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 3
 
 

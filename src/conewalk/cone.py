@@ -84,26 +84,31 @@ class ConeGeometry:
         band = FLOAT_MEMBERSHIP_BAND * (1.0 + max(abs(float(z[0])), abs(float(z[1]))))
         return d1 > band and d2 > band
 
-    def contains_array(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`contains` over an ``(n, 2)`` integer array."""
+    def wall_violations(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the points of an ``(n, 2)`` array that fail wall 1 and wall 2.
+
+        A point fails a wall when it lies on or beyond it; for float cones,
+        within the guard band counts as on it.  A point is outside the open
+        cone exactly when it fails at least one wall.
+        """
         pts = np.asarray(points)
         if self._w1 is not None:
             p = pts.astype(np.int64)
             d1 = p[:, 0] * self._w1[0] + p[:, 1] * self._w1[1]
             d2 = p[:, 0] * self._w2[0] + p[:, 1] * self._w2[1]
-            return (d1 > 0) & (d2 > 0)
+            return d1 <= 0, d2 <= 0
         p = pts.astype(float)
         band = FLOAT_MEMBERSHIP_BAND * (1.0 + np.abs(p).max(axis=1))
-        return (p @ self.f1 > band) & (p @ self.f2 > band)
+        return p @ self.f1 <= band, p @ self.f2 <= band
+
+    def contains_array(self, points: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`contains` over an ``(n, 2)`` integer array."""
+        bad1, bad2 = self.wall_violations(points)
+        return ~(bad1 | bad2)
 
     def which_boundary(self, z) -> WhichBoundary:
         """Report which half-plane constraints fail at ``z``."""
-        d1, d2 = self.wall_dots(z)
-        if self._w1 is None:
-            band = FLOAT_MEMBERSHIP_BAND * (1.0 + max(abs(float(z[0])), abs(float(z[1]))))
-            bad1, bad2 = d1 <= band, d2 <= band
-        else:
-            bad1, bad2 = d1 <= 0, d2 <= 0
+        bad1, bad2 = (bool(m[0]) for m in self.wall_violations(np.array([z])))
         if bad1 and bad2:
             return WhichBoundary.BOTH
         if bad1:

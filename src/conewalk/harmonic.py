@@ -106,7 +106,7 @@ def spec_for_endpoint(law: StepLaw, cone: ConeGeometry, wall: int) -> HarmonicSp
 
 
 def build_h(spec: HarmonicSpec, domain: TruncatedDomain,
-            delta_grid=DEFAULT_DELTA_GRID, method: str = "auto") -> HarmonicField:
+            delta_grid=DEFAULT_DELTA_GRID) -> HarmonicField:
     """Assemble the harmonic function's brackets on a truncated domain.
 
     Subtracting the exit expectation flips the bracket: the lower bound on
@@ -123,15 +123,13 @@ def build_h(spec: HarmonicSpec, domain: TruncatedDomain,
     e_az = np.exp(z @ av)
     if spec.wall is None:
         u = exit_expectation(spec.law, domain, spec.tilt, payoff="exp",
-                             restriction="all_exits", delta_grid=delta_grid,
-                             method=method)
+                             restriction="all_exits", delta_grid=delta_grid)
         lead = e_az
         kind = "harmonic_interior"
     else:
         payoff = f"linear_wall{spec.wall}"
         u = exit_expectation(spec.law, domain, spec.tilt, payoff=payoff,
-                             restriction="all_exits", delta_grid=delta_grid,
-                             method=method)
+                             restriction="all_exits", delta_grid=delta_grid)
         lead = (z @ spec.cone.normal(spec.wall)) * e_az
         kind = f"harmonic_wall{spec.wall}"
     lo = lead - u.hi

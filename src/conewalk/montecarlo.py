@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeGeometry, WhichBoundary
+from .cone import ConeGeometry
 from .solver import Bracket, TruncatedDomain, build_domain, exit_expectation, green_column
 from .steplaw import LatticePoint, StepLaw, TiltedLaw
 from .tiltgeom import (TiltPoint, point_with_normal, tilt_point,
@@ -64,13 +64,6 @@ class ExitRecord:
     which: str
 
 
-_WHICH_FROM_BOUNDARY = {
-    WhichBoundary.H1: "wall1",
-    WhichBoundary.H2: "wall2",
-    WhichBoundary.BOTH: "both",
-}
-
-
 def _escape_distances(law: StepLaw, cone: ConeGeometry,
                       a: np.ndarray) -> tuple[float, float] | None:
     """Wall distances beyond which exit probability is below ESCAPE_BOUND."""
@@ -117,15 +110,8 @@ def _simulate_batch(tilted: TiltedLaw, cone: ConeGeometry, z0, horizon: int,
         out = ~inside
         out_pts = p[out]
         out_ids = live_ids[out]
-        if cone.is_exact:
-            w1 = cone.normal_ints(1)
-            w2 = cone.normal_ints(2)
-            d1 = out_pts[:, 0] * w1[0] + out_pts[:, 1] * w1[1]
-            d2 = out_pts[:, 0] * w2[0] + out_pts[:, 1] * w2[1]
-        else:
-            d1 = out_pts.astype(float) @ cone.f1
-            d2 = out_pts.astype(float) @ cone.f2
-        code = np.where((d1 <= 0) & (d2 <= 0), 3, np.where(d1 <= 0, 1, 2))
+        bad1, bad2 = cone.wall_violations(out_pts)
+        code = np.where(bad1 & bad2, 3, np.where(bad1, 1, 2))
         which[out_ids] = code
         steps_taken[out_ids] = t
         exit_xy[out_ids] = out_pts

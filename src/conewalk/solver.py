@@ -105,7 +105,6 @@ class TruncatedDomain:
                 f"{len(states)} states exceed the configured cap {max_states}")
         self.states = states
         self.n_states = len(states)
-        self._index = {(int(x), int(y)): i for i, (x, y) in enumerate(states)}
 
         edge_src, edge_dst, edge_atom = [], [], []
         far_src, far_atom, far_pts = [], [], []
@@ -113,6 +112,7 @@ class TruncatedDomain:
         src_all = np.arange(self.n_states)
         grid = -np.ones((2 * r + 1, 2 * r + 1), dtype=np.int64)
         grid[states[:, 0] + r, states[:, 1] + r] = src_all
+        self._grid = grid
         for k, step in enumerate(law.steps):
             succ = states + step
             in_cone = cone.contains_array(succ)
@@ -156,12 +156,14 @@ class TruncatedDomain:
 
     def index_of(self, z) -> int:
         key = (int(z[0]), int(z[1]))
-        if key not in self._index:
+        if not self.has_state(key):
             raise KeyError(f"{key} is not an interior state of this domain")
-        return self._index[key]
+        return int(self._grid[key[0] + self.radius, key[1] + self.radius])
 
     def has_state(self, z) -> bool:
-        return (int(z[0]), int(z[1])) in self._index
+        x, y = int(z[0]), int(z[1])
+        r = self.radius
+        return max(abs(x), abs(y)) <= r and bool(self._grid[x + r, y + r] >= 0)
 
     @property
     def far_points(self) -> np.ndarray:
@@ -206,20 +208,18 @@ class TruncatedDomain:
             self._lu_cache[key] = (A, lu)
         return self._lu_cache[key]
 
-    def solve(self, b: np.ndarray, a: np.ndarray | None = None,
-              method: str = "auto") -> np.ndarray:
-        """Solve ``(I - P_a) x = b`` with one step of iterative refinement."""
+    def solve(self, b: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
+        """Solve ``(I - P_a) x = b``.
+
+        Up to ``DIRECT_LIMIT`` states this is a sparse LU solve with one
+        step of iterative refinement; above it, Gauss-Seidel sweeps.
+        """
         A, lu = self._system(a)
-        use_direct = method == "direct" or (method == "auto" and lu is not None)
-        if use_direct:
-            if lu is None:
-                _, lu = self._lu_cache[self._tilt_key(a)] = (A, spla.splu(A))
-            x = lu.solve(b)
-            x += lu.solve(b - A @ x)
-            return x
-        if method not in ("auto", "gauss_seidel"):
-            raise ValueError(f"unknown solve method {method!r}")
-        return _gauss_seidel(A, b)
+        if lu is None:
+            return _gauss_seidel(A, b)
+        x = lu.solve(b)
+        x += lu.solve(b - A @ x)
+        return x
 
 
 def _gauss_seidel(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-13,
@@ -367,17 +367,7 @@ class FarBounds:
 
 
 def _exit_masks(cone: ConeGeometry, pts: np.ndarray, tie_wall: int):
-    if cone.is_exact:
-        w1 = cone.normal_ints(1)
-        w2 = cone.normal_ints(2)
-        d1 = pts[:, 0] * w1[0] + pts[:, 1] * w1[1]
-        d2 = pts[:, 0] * w2[0] + pts[:, 1] * w2[1]
-    else:
-        p = pts.astype(float)
-        d1 = p @ cone.f1
-        d2 = p @ cone.f2
-    viol1 = d1 <= 0
-    viol2 = d2 <= 0
+    viol1, viol2 = cone.wall_violations(pts)
     both = viol1 & viol2
     bucket1 = (viol1 & ~viol2) | (both if tie_wall == 1 else np.zeros_like(both))
     bucket2 = (viol2 & ~viol1) | (both if tie_wall == 2 else np.zeros_like(both))
@@ -397,19 +387,15 @@ def _restriction_mask(cone: ConeGeometry, pts: np.ndarray, restriction: str,
 
 def _as_tilt(law: StepLaw, a) -> TiltPoint:
     point = a if isinstance(a, TiltPoint) else tilt_point(law, a)
-    if point.value > 1.0 + CLASSIFY_SLACK:
+    if not point.in_closed_set:
         raise ValueError(
             f"tilt lies outside the unit level set (mgf = {point.value!r})")
     return point
 
 
-CLASSIFY_SLACK = 1e-10
-
-
 def exit_expectation(law: StepLaw, domain: TruncatedDomain, a,
                      payoff: str = "exp", restriction: str = "all_exits",
-                     delta_grid=DEFAULT_DELTA_GRID,
-                     method: str = "auto") -> HarmonicField:
+                     delta_grid=DEFAULT_DELTA_GRID) -> HarmonicField:
     """Bracket ``E_z[g(S at exit); exit happens]`` for every domain state.
 
     ``payoff`` selects ``g``: ``exp`` is ``exp(a.y)``; ``linear_wall1`` and
@@ -454,16 +440,15 @@ def exit_expectation(law: StepLaw, domain: TruncatedDomain, a,
         b_hi += np.bincount(domain.far_src, weights=w * hi_vals,
                             minlength=domain.n_states)
 
-    lo = domain.solve(b_lo, a=None, method=method)
-    hi = domain.solve(b_hi, a=None, method=method)
+    lo = domain.solve(b_lo, a=None)
+    hi = domain.solve(b_hi, a=None)
     kind = {"exp": "exp", "linear_wall1": "linear_wall1",
             "linear_wall2": "linear_wall2"}[payoff]
     return HarmonicField(domain=domain, kind=kind, a=av.copy(),
                          lo=np.minimum(lo, hi), hi=np.maximum(lo, hi))
 
 
-def survival_probability(law: StepLaw, domain: TruncatedDomain, a,
-                         method: str = "auto") -> HarmonicField:
+def survival_probability(law: StepLaw, domain: TruncatedDomain, a) -> HarmonicField:
     """Bracket the probability that the tilted walk never leaves the cone.
 
     The walk tilted by ``a`` moves with substochastic weights
@@ -492,16 +477,15 @@ def survival_probability(law: StepLaw, domain: TruncatedDomain, a,
                             minlength=domain.n_states)
         b_hi += np.bincount(domain.far_src, weights=w,
                             minlength=domain.n_states)
-    lo = domain.solve(b_lo, a=av, method=method)
-    hi = domain.solve(b_hi, a=av, method=method)
+    lo = domain.solve(b_lo, a=av)
+    hi = domain.solve(b_hi, a=av)
     lo = np.clip(lo, 0.0, 1.0)
     hi = np.clip(hi, 0.0, 1.0)
     return HarmonicField(domain=domain, kind="survival", a=av.copy(),
                          lo=np.minimum(lo, hi), hi=np.maximum(lo, hi))
 
 
-def green_column(law: StepLaw, domain: TruncatedDomain, target,
-                 method: str = "auto") -> HarmonicField:
+def green_column(law: StepLaw, domain: TruncatedDomain, target) -> HarmonicField:
     """Expected visits to ``target`` before leaving the cone, per start state.
 
     The lower bracket (far frontier worth 0) is certified and grows with
@@ -512,14 +496,14 @@ def green_column(law: StepLaw, domain: TruncatedDomain, target,
     t = domain.index_of(target)
     b = np.zeros(domain.n_states)
     b[t] = 1.0
-    lo = domain.solve(b, a=None, method=method)
+    lo = domain.solve(b, a=None)
     b_hi = b.copy()
     if len(domain.far_pts):
         far_value = float(lo.max())
         w = law.probs[domain.far_atom]
         b_hi += np.bincount(domain.far_src, weights=w * far_value,
                             minlength=domain.n_states)
-    hi = domain.solve(b_hi, a=None, method=method)
+    hi = domain.solve(b_hi, a=None)
     return HarmonicField(domain=domain, kind="green",
                          a=np.zeros(2), lo=np.minimum(lo, hi),
                          hi=np.maximum(lo, hi), certified=False)

@@ -100,68 +100,102 @@ def interior_minimum(law: StepLaw, max_iter: int = 200) -> np.ndarray:
     raise NonConvergenceError("interior minimum search did not converge")
 
 
-def _first_crossing_above(law: StepLaw, base: np.ndarray, direction: np.ndarray,
-                          t_lo: float, t_hi: float) -> float:
-    """Bisect for mgf(base + t*direction) = 1 with mgf < 1 at t_lo, > 1 at t_hi."""
-    for _ in range(200):
-        mid = 0.5 * (t_lo + t_hi)
-        if mid == t_lo or mid == t_hi:
-            break
-        if _mgf_safe(law, base + mid * direction) > 1.0:
-            t_hi = mid
-        else:
-            t_lo = mid
-    return 0.5 * (t_lo + t_hi)
+# -- one primitive for sections of the mgf along a ray ----------------------
+#
+# Along a ray ``t -> base + t*d`` the mgf is strictly convex, so the section
+# ``{t >= 0 : mgf(base + t*d) <= 1}`` is an interval (possibly empty).  Every
+# root find in this module bisects a monotone predicate with ``_bisect``;
+# along rays the bracket comes from doubling with ``_expand``.
 
 
-def _smallest_level_crossing(law: StepLaw, base: np.ndarray, direction: np.ndarray,
-                             zero_tol: float) -> float:
-    """Smallest t >= 0 with mgf(base + t*direction) = 1.
+def _bisect(pred, lo: float, hi: float) -> tuple[float, float]:
+    """Final floating-point bracket of the switch of a monotone predicate.
 
-    The restriction of the mgf to the ray is strictly convex and tends to
-    infinity, so there are at most two crossings; bracketing plus bisection
-    finds the smaller one without any smoothness assumptions beyond
-    convexity.  Raises ``NoIntersectionError`` when the ray misses the
-    level set entirely.
+    ``pred`` must be false at ``lo`` and true at ``hi``; the bracket is
+    halved until its midpoint rounds onto an end.
     """
-    g0 = _mgf_safe(law, base)
-    if abs(g0 - 1.0) <= zero_tol:
-        return 0.0
-    if g0 < 1.0:
-        t = 1.0
-        while _mgf_safe(law, base + t * direction) <= 1.0:
-            t *= 2.0
-            if t > 1e9:
-                raise NonConvergenceError("level crossing bracket ran away")
-        return _first_crossing_above(law, base, direction, t / 2.0 if t > 1.0 else 0.0, t)
-    # Outside the set: descend along the ray if the slope allows it.
-    slope0 = float(law.mgf_grad(base) @ direction)
-    if slope0 >= 0.0:
-        raise NoIntersectionError("ray points away from the level set")
-    t = 1.0
-    t_prev = 0.0
-    for _ in range(200):
-        val = _mgf_safe(law, base + t * direction)
-        if val < 1.0:
-            break
-        slope = math.inf if math.isinf(val) else float(
-            law.mgf_grad(base + t * direction) @ direction)
-        if slope >= 0.0:
-            raise NoIntersectionError("ray misses the level set")
-        t_prev, t = t, 2.0 * t
-    else:
-        raise NoIntersectionError("no crossing found along the ray")
-    # First crossing lies in (t_prev, t]: bisect on "still above 1".
-    lo, hi = t_prev, t
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _mgf_safe(law, base + mid * direction) > 1.0:
-            lo = mid
-        else:
+        if pred(mid):
             hi = mid
-    return hi
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _expand(pred, t: float, limit: float) -> float:
+    """First of ``t, 2t, 4t, ...`` at which ``pred`` holds."""
+    while not pred(t):
+        t *= 2.0
+        if t > limit:
+            raise NonConvergenceError("level-set bracket ran away")
+    return t
+
+
+def _outside(law: StepLaw, base: np.ndarray, d: np.ndarray):
+    """``t -> mgf(base + t*d) > 1``."""
+    return lambda t: _mgf_safe(law, base + t * d) > 1.0
+
+
+def _rising(law: StepLaw, base: np.ndarray, d: np.ndarray):
+    """``t -> d/dt mgf(base + t*d) >= 0``: true past the minimiser of the section."""
+    def rising(t: float) -> bool:
+        try:
+            return float(law.mgf_grad(base + t * d) @ d) >= 0.0
+        except RangeOverflowError:
+            return True
+    return rising
+
+
+def _reach(law: StepLaw, base: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+    """Bracket ``(lo, t)`` of the near end of the section, for ``mgf(base) > 1``.
+
+    ``mgf > 1`` at ``lo`` and ``mgf <= 1`` at ``t``.  The doubling stops at
+    the first point inside the set or past the minimiser of the section; in
+    the second case the section, if any, lies around the minimiser.  Raises
+    ``NoIntersectionError`` when the section is empty.
+    """
+    rising = _rising(law, base, d)
+    if rising(0.0):
+        raise NoIntersectionError("ray points away from the level set")
+    outside = _outside(law, base, d)
+    t = _expand(lambda s: not outside(s) or rising(s), 1.0, 1e9)
+    lo = 0.5 * t if t > 1.0 else 0.0
+    if outside(t):
+        m_lo, m_hi = _bisect(rising, lo, t)
+        t = 0.5 * (m_lo + m_hi)
+        if outside(t):
+            raise NoIntersectionError("ray misses the level set")
+    return lo, t
+
+
+def _entry(law: StepLaw, base: np.ndarray, d: np.ndarray) -> float:
+    """Near end of the section, for ``mgf(base) > 1``.
+
+    Returns the upper end of the final bracket, where ``mgf <= 1`` holds.
+    """
+    outside = _outside(law, base, d)
+    return _bisect(lambda s: not outside(s), *_reach(law, base, d))[1]
+
+
+def _exit(law: StepLaw, base: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+    """Final bracket of the far end of the section; ``mgf <= 1`` at its lower end.
+
+    Raises ``NoIntersectionError`` when the section is empty.
+    """
+    outside = _outside(law, base, d)
+    t0 = _reach(law, base, d)[1] if outside(0.0) else 0.0
+    start = max(t0, 1.0)
+    hi = _expand(outside, start, 1e12)
+    return _bisect(outside, 0.5 * hi if hi > start else t0, hi)
+
+
+def _crossing(law: StepLaw, base: np.ndarray, d: np.ndarray) -> float:
+    """Far end of the section, for ``mgf(base) < 1``: midpoint of the final bracket."""
+    lo, hi = _exit(law, base, d)
+    return 0.5 * (lo + hi)
 
 
 def boundary_shift(law: StepLaw, a_tilde, f) -> float:
@@ -173,11 +207,13 @@ def boundary_shift(law: StepLaw, a_tilde, f) -> float:
     """
     base = np.asarray(a_tilde, dtype=float)
     f = np.asarray(f, dtype=float)
-    lam = _smallest_level_crossing(law, base, -f, zero_tol=CLASSIFY_TOL)
-    if lam > 0.0:
-        residual = abs(law.mgf(base - lam * f) - 1.0)
-        if residual > LEVEL_TOL:
-            raise NonConvergenceError(f"boundary shift residual {residual:.2e}")
+    g0 = _mgf_safe(law, base)
+    if abs(g0 - 1.0) <= CLASSIFY_TOL:
+        return 0.0
+    lam = _crossing(law, base, -f) if g0 < 1.0 else _entry(law, base, -f)
+    residual = abs(law.mgf(base - lam * f) - 1.0)
+    if residual > LEVEL_TOL:
+        raise NonConvergenceError(f"boundary shift residual {residual:.2e}")
     return lam
 
 
@@ -194,16 +230,19 @@ def epsilon_for_delta(law: StepLaw, a, delta: float, f_add, f_sub) -> float:
         raise ValueError("delta must be nonnegative")
     a = a.a if isinstance(a, TiltPoint) else np.asarray(a, dtype=float)
     base = a + delta * np.asarray(f_add, dtype=float)
+    f_sub = np.asarray(f_sub, dtype=float)
+    g0 = _mgf_safe(law, base)
+    if abs(g0 - 1.0) <= 1e-13:
+        return 0.0
     try:
-        eps = _smallest_level_crossing(law, base, -np.asarray(f_sub, dtype=float),
-                                       zero_tol=1e-13)
+        eps = (_crossing(law, base, -f_sub) if g0 < 1.0
+               else _entry(law, base, -f_sub))
     except NoIntersectionError as exc:
         raise DeltaTooLargeError(
             f"offset delta={delta} pushes the search line off the level set") from exc
-    if eps > 0.0:
-        residual = abs(law.mgf(base - eps * np.asarray(f_sub, dtype=float)) - 1.0)
-        if residual > LEVEL_TOL:
-            raise NonConvergenceError(f"eps search residual {residual:.2e}")
+    residual = abs(law.mgf(base - eps * f_sub) - 1.0)
+    if residual > LEVEL_TOL:
+        raise NonConvergenceError(f"eps search residual {residual:.2e}")
     return eps
 
 
@@ -215,45 +254,7 @@ def largest_level_shift(law: StepLaw, base, f) -> float:
     ``NoIntersectionError`` when the whole ray stays above 1.
     """
     base = base.a if isinstance(base, TiltPoint) else np.asarray(base, dtype=float)
-    f = np.asarray(f, dtype=float)
-
-    def slope(t: float) -> float:
-        return -float(law.mgf_grad(base - t * f) @ f)
-
-    t_star = 0.0
-    if slope(0.0) < 0.0:
-        t = 1.0
-        while slope(t) < 0.0:
-            t *= 2.0
-            if t > 1e9:
-                raise NonConvergenceError("level shift bracket ran away")
-        lo_s, hi_s = t / 2.0 if t > 1.0 else 0.0, t
-        for _ in range(200):
-            mid = 0.5 * (lo_s + hi_s)
-            if mid == lo_s or mid == hi_s:
-                break
-            if slope(mid) < 0.0:
-                lo_s = mid
-            else:
-                hi_s = mid
-        t_star = 0.5 * (lo_s + hi_s)
-    if _mgf_safe(law, base - t_star * f) > 1.0 + 1e-13:
-        raise NoIntersectionError("ray never enters the unit level set")
-    t_hi = max(t_star, 1.0)
-    while _mgf_safe(law, base - t_hi * f) <= 1.0:
-        t_hi *= 2.0
-        if t_hi > 1e12:
-            raise NonConvergenceError("level shift bracket ran away")
-    lo = t_star
-    for _ in range(200):
-        mid = 0.5 * (lo + t_hi)
-        if mid == lo or mid == t_hi:
-            break
-        if _mgf_safe(law, base - mid * f) <= 1.0:
-            lo = mid
-        else:
-            t_hi = mid
-    return lo
+    return _exit(law, base, -np.asarray(f, dtype=float))[0]
 
 
 def wall_decay_exponent(law: StepLaw, a, f) -> float:
@@ -269,30 +270,7 @@ def wall_decay_exponent(law: StepLaw, a, f) -> float:
     f = np.asarray(f, dtype=float)
     if float(law.mgf_grad(a) @ f) <= 1e-12:
         return 0.0
-
-    def slope(t: float) -> float:
-        return -float(law.mgf_grad(a - t * f) @ f)
-
-    t = 1.0
-    while slope(t) < 0.0:
-        t *= 2.0
-        if t > 1e9:
-            raise NonConvergenceError("decay exponent bracket ran away")
-    t_min, t_hi = t, t
-    while _mgf_safe(law, a - t_hi * f) <= 1.0:
-        t_hi *= 2.0
-        if t_hi > 1e12:
-            raise NonConvergenceError("decay exponent bracket ran away")
-    lo = t_min if _mgf_safe(law, a - t_min * f) <= 1.0 else 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + t_hi)
-        if mid == lo or mid == t_hi:
-            break
-        if _mgf_safe(law, a - mid * f) <= 1.0:
-            lo = mid
-        else:
-            t_hi = mid
-    return lo
+    return _exit(law, a, -f)[0]
 
 
 # -- the normal map and its inverse ----------------------------------------
@@ -315,11 +293,7 @@ def point_with_normal(law: StepLaw, q, max_iter: int = 80) -> TiltPoint:
     # Seed Newton at the boundary crossing in direction q from the interior
     # minimiser; for a convex oval its normal is already close to q.
     center = interior_minimum(law)
-    t = 1.0
-    while _mgf_safe(law, center + t * q) <= 1.0:
-        t *= 2.0
-    t = _first_crossing_above(law, center, q, t / 2.0, t)
-    a0 = center + t * q
+    a0 = center + _crossing(law, center, q) * q
     x = np.array([a0[0], a0[1], float(np.linalg.norm(law.mgf_grad(a0)))])
 
     def residual(x: np.ndarray) -> np.ndarray | None:
@@ -381,11 +355,7 @@ def _point_with_normal_bisect(law: StepLaw, q: np.ndarray) -> np.ndarray:
 
     def boundary_at(psi: float) -> np.ndarray:
         u = np.array([math.cos(psi), math.sin(psi)])
-        t = 1.0
-        while _mgf_safe(law, center + t * u) <= 1.0:
-            t *= 2.0
-        t = _first_crossing_above(law, center, u, t / 2.0, t)
-        return center + t * u
+        return center + _crossing(law, center, u) * u
 
     def wrapped_diff(psi: float) -> float:
         g = law.mgf_grad(boundary_at(psi))
@@ -413,17 +383,8 @@ def _point_with_normal_bisect(law: StepLaw, q: np.ndarray) -> np.ndarray:
     if lo is None:
         raise NonConvergenceError("angular bisection found no bracket")
     if lo != hi:
-        d_lo = wrapped_diff(lo)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            d_mid = wrapped_diff(mid)
-            if d_mid == 0.0:
-                lo = hi = mid
-                break
-            if (d_mid > 0.0) == (d_lo > 0.0):
-                lo, d_lo = mid, d_mid
-            else:
-                hi = mid
+        lo_positive = d0 > 0.0
+        lo, hi = _bisect(lambda psi: (wrapped_diff(psi) > 0.0) != lo_positive, lo, hi)
     a = boundary_at(0.5 * (lo + hi))
     lam = float(np.linalg.norm(law.mgf_grad(a)))
     return np.array([a[0], a[1], lam])
@@ -480,11 +441,7 @@ def boundary_polyline(law: StepLaw, n: int) -> np.ndarray:
     for k in range(n):
         psi = 2.0 * math.pi * k / n
         u = np.array([math.cos(psi), math.sin(psi)])
-        t = 1.0
-        while _mgf_safe(law, center + t * u) <= 1.0:
-            t *= 2.0
-        t = _first_crossing_above(law, center, u, t / 2.0, t)
-        a = center + t * u
+        a = center + _crossing(law, center, u) * u
         q = normal_direction(law, a)
         rows[k] = (a[0], a[1], q[0], q[1])
     return rows

@@ -58,9 +58,11 @@ class TestConfigParsing:
             "cone_dirs 0 1 1 0", "cone_angles 0 90"))
         assert not cfg.cone.is_exact
 
-    def test_tolerance_overrides_stored(self):
-        cfg = parse_config_text(GOOD_CONFIG + "tolerance level_residual 1e-11\n")
-        assert cfg.tolerances["level_residual"] == 1e-11
+    def test_tolerance_key_rejected(self):
+        # The tolerances are fixed constants; the header prints them.
+        with pytest.raises(ConfigError,
+                           match="line 8: field 'tolerance': unknown key"):
+            parse_config_text(GOOD_CONFIG + "tolerance level_residual 1e-11\n")
 
 
 class TestCommands:
@@ -86,6 +88,22 @@ atom 0 -1 0.25
     def test_malformed_config_exit_code(self, tmp_path):
         path = write_config(tmp_path, "radius x\n")
         assert main(["--config", str(path), "validate"]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["--radius", "1000", "harmonic"],
+        ["harmonic", "--q=-1,-1"],
+        ["harmonic", "--q=abc"],
+        ["--radius", "20", "martin", "--probes=500,500"],
+    ], ids=["domain-over-cap", "q-outside-sector", "q-malformed",
+            "probe-off-domain"])
+    def test_bad_input_exits_3_with_one_line(self, tmp_path, capsys, argv):
+        path = write_config(tmp_path, GOOD_CONFIG)
+        code = main(["--config", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet", *argv])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("invalid input: ")
 
     def test_boundary_csv(self, tmp_path, law4):
         path = write_config(tmp_path, GOOD_CONFIG)

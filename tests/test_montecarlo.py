@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conewalk import (RngSpec, StepLaw, absorption_crosscheck,
-                      local_irreducibility_scan, martin_ratio_table,
-                      overshoot_moment, point_with_normal, sample_exit)
+                      build_cone_from_angles, local_irreducibility_scan,
+                      martin_ratio_table, overshoot_moment, point_with_normal,
+                      sample_exit)
 from conewalk.montecarlo import _simulate_batch
 
 
@@ -52,6 +53,13 @@ class TestSampling:
         assert r.steps == 0
         assert r.which == "wall1"
         assert r.exit_point == (-2, 3)
+
+    def test_guard_band_exit_keeps_its_wall(self, law4):
+        # (1, 1) lies on wall 1 up to rounding, inside the guard band.
+        cone = build_cone_from_angles(45.0, 105.0)
+        r = sample_exit(law4.tilt((0.0, 0.0)), cone, (1, 1), 10, RngSpec(1, 0))
+        assert r.steps == 0
+        assert r.which == "wall1"
 
     def test_horizon_record_has_no_exit_point(self, law4, quadrant_cone):
         t = law4.tilt((0.0, 0.0))

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conewalk import (Bracket, StepLaw, build_cone, build_domain,
-                      exit_expectation, green_column, harmonicity_residual,
-                      point_with_normal, survival_probability, tilt_point)
-from conewalk.solver import HarmonicField, _gauss_seidel
+from conewalk import (Bracket, StepLaw, build_cone, build_cone_from_angles,
+                      build_domain, exit_expectation, green_column,
+                      harmonicity_residual, point_with_normal,
+                      survival_probability, tilt_point)
+from conewalk.solver import HarmonicField, _exit_masks, _gauss_seidel
 
 
 def dp_exit_expectation(law, cone, radius, a, payoff_wall=None, iters=4000):
@@ -75,6 +76,18 @@ class TestDomain:
             assert (np.abs(d.far_pts).max(axis=1) > 8).all()
             assert (np.abs(d.far_pts).max(axis=1) <= 8 + law5.max_jump).all()
         assert not quadrant_cone.contains_array(d.exit_pts).any()
+
+    def test_every_exit_point_falls_in_one_bucket(self, cone45):
+        # On the float cone, (2, 1) and its multiples lie on wall 2 up to
+        # rounding, inside the membership guard band.
+        r = 60
+        xs, ys = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1))
+        pts = np.column_stack([xs.ravel(), ys.ravel()])
+        for cone in (build_cone_from_angles(0.0, 26.565051177077994), cone45):
+            out = pts[~cone.contains_array(pts)]
+            for tie_wall in (1, 2):
+                bucket1, bucket2 = _exit_masks(cone, out, tie_wall)
+                assert (bucket1 ^ bucket2).all()
 
 
 class TestSingleState:
@@ -277,12 +290,12 @@ class TestResidual:
 
 class TestSolvers:
     def test_gauss_seidel_matches_direct(self, law4, quadrant_cone):
+        import scipy.sparse.linalg as spla
         d = build_domain(quadrant_cone, law4, 12)
-        p = tilt_point(law4, (0.0, 0.0))
-        direct = exit_expectation(law4, d, p, method="direct")
-        sweeps = exit_expectation(law4, d, p, method="gauss_seidel")
-        assert np.allclose(direct.lo, sweeps.lo, atol=1e-11)
-        assert np.allclose(direct.hi, sweeps.hi, atol=1e-11)
+        A, _ = d._system(None)
+        b = np.random.default_rng(4).uniform(0.0, 1.0, d.n_states)
+        direct = spla.splu(A).solve(b)
+        assert np.allclose(_gauss_seidel(A, b), direct, rtol=1e-11, atol=1e-11)
 
     def test_gauss_seidel_divergence_guard(self):
         import scipy.sparse as sp

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conewalk import (DeltaTooLargeError, NoIntersectionError,
+from conewalk import (DeltaTooLargeError, NoIntersectionError, StepLaw,
                       boundary_arc, boundary_polyline, boundary_shift,
                       epsilon_for_delta, interior_minimum, normal_direction,
                       point_with_normal, tilt_point, wall_decay_exponent)
-from conewalk.tiltgeom import largest_level_shift
+from conewalk.tiltgeom import _point_with_normal_bisect, largest_level_shift
 
 LN2 = math.log(2.0)
 
@@ -187,6 +187,16 @@ class TestEpsilonForDelta:
         eps = epsilon_for_delta(law4, p, 0.125, cone45.f1, cone45.f2)
         assert eps > 0.0
 
+    def test_section_shorter_than_first_step(self, law4, cone45):
+        # The pulled-back line meets the set on about [0.087, 0.849], so the
+        # first trial step t = 1 already lies past the whole section.
+        p = point_with_normal(law4, cone45.c1)
+        eps = epsilon_for_delta(law4, p, 0.3, cone45.f1, cone45.f2)
+        assert eps > 0.0
+        c_tilde = p.a + 0.3 * cone45.f1 - eps * cone45.f2
+        assert abs(law4.mgf(c_tilde) - 1.0) <= 1e-12
+        assert law4.mgf(p.a + 0.3 * cone45.f1 - 0.9 * eps * cone45.f2) > 1.0
+
 
 class TestDecayExponents:
     def test_zero_tilt_exponent_closed_form(self, law4, quadrant_cone):
@@ -221,6 +231,11 @@ class TestDecayExponents:
             largest_level_shift(law4, base, -quadrant_cone.f1)
 
 
+#: Nearly driftless law: its level set is a small oval, well inside one
+#: unit step of its interior minimiser in every direction.
+SMALL_DRIFT_ATOMS = {(1, 0): 0.26, (-1, 0): 0.24, (0, 1): 0.26, (0, -1): 0.24}
+
+
 class TestPolyline:
     def test_samples_lie_on_level_set(self, law4):
         rows = boundary_polyline(law4, 16)
@@ -236,3 +251,12 @@ class TestPolyline:
         gap = np.linalg.norm(rows[0, :2] - rows[-1, :2])
         steps = np.linalg.norm(np.diff(rows[:, :2], axis=0), axis=1)
         assert gap <= 3.0 * steps.max()
+
+    def test_small_level_set(self):
+        law = StepLaw(SMALL_DRIFT_ATOMS)
+        for a1, a2, _, _ in boundary_polyline(law, 8):
+            assert abs(law.mgf((a1, a2)) - 1.0) <= 1e-10
+        for k in range(6):
+            t = 2 * math.pi * k / 6
+            x = _point_with_normal_bisect(law, np.array([math.cos(t), math.sin(t)]))
+            assert abs(law.mgf(x[:2]) - 1.0) <= 1e-10
