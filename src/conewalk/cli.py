@@ -119,22 +119,26 @@ def parse_config(path: str | Path) -> ModelConfig:
 # -- output helpers ----------------------------------------------------------
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
 def _write_csv(path: Path, cfg: ModelConfig, comments: list[str],
                header: list[str], rows) -> None:
-    lines = [f"# conewalk {__version__}",
-             f"# config_sha256 {cfg.config_hash}",
-             f"# tolerances {TOLERANCE_LADDER}"]
-    lines.extend(f"# {c}" for c in comments)
-    lines.append(",".join(header))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"# conewalk {__version__}\n"
+                 f"# config_sha256 {cfg.config_hash}\n"
+                 f"# tolerances {TOLERANCE_LADDER}\n")
+        fh.writelines(f"# {c}\n" for c in comments)
+        fh.write(",".join(header) + "\n")
+        # Floats (np.float64 too) print with %.17g, anything else with str.
+        # One format serves each run of rows with the same value types, so
+        # no value is ever printed by a format made for another type.
+        types = fmt = None
+        for row in rows:
+            row = tuple(row)
+            if tuple(map(type, row)) != types:
+                types = tuple(map(type, row))
+                fmt = ",".join("%.17g" if issubclass(t, float) else "%s"
+                               for t in types) + "\n"
+            fh.write(fmt % row)
 
 
 def _out_dir(args) -> Path:

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +44,10 @@ DEFAULT_DELTA_GRID = (0.5, 0.25, 0.1, 0.05)
 
 #: State counts up to this limit use a direct sparse factorisation.
 DIRECT_LIMIT = 200_000
+
+#: Points per slab when a domain's box is enumerated or its rows are
+#: listed, which bounds the temporaries of both.
+_CHUNK = 16_384
 
 PAYOFFS = ("exp", "linear_wall1", "linear_wall2")
 RESTRICTIONS = ("all_exits", "only_wall1_first", "only_wall2_first")
@@ -91,18 +97,26 @@ class TruncatedDomain:
         self.radius = int(radius)
 
         r = self.radius
-        xs, ys = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1),
-                             indexing="ij")
-        pts = np.column_stack([xs.ravel(), ys.ravel()]).astype(np.int64)
-        inside = cone.contains_array(pts)
-        states = pts[inside]
-        order = np.lexsort((states[:, 1], states[:, 0]))
-        states = states[order]
+        # Enumerate the box a slab of columns at a time, x-major then y,
+        # which is already lexicographic; an oversized box is rejected as
+        # soon as the running count passes the cap, before it is all built.
+        side = 2 * r + 1
+        width = max(1, _CHUNK // side)
+        ys = np.arange(-r, r + 1, dtype=np.int64)
+        slabs, count = [], 0
+        for x0 in range(-r, r + 1, width):
+            xs = np.arange(x0, min(x0 + width, r + 1), dtype=np.int64)
+            pts = np.column_stack([np.repeat(xs, side), np.tile(ys, len(xs))])
+            slab = pts[cone.contains_array(pts)]
+            count += len(slab)
+            if count > max_states:
+                raise DomainSizeError(
+                    f"the box of radius {r} holds more than {max_states} "
+                    f"states, the configured cap")
+            slabs.append(slab)
+        states = np.concatenate(slabs)
         if len(states) == 0:
             raise DomainSizeError("no cone lattice points inside the box")
-        if len(states) > max_states:
-            raise DomainSizeError(
-                f"{len(states)} states exceed the configured cap {max_states}")
         self.states = states
         self.n_states = len(states)
 
@@ -200,12 +214,17 @@ class TruncatedDomain:
         return self._matrix_cache[key]
 
     def _system(self, a: np.ndarray | None):
+        """``(A, solver)`` for ``A = I - P_a``: a sparse LU up to
+        ``DIRECT_LIMIT`` states, the prepared sweep operator above it."""
         key = self._tilt_key(a)
         if key not in self._lu_cache:
             P = self.transition_matrix(a)
             A = (sp.identity(self.n_states, format="csr") - P).tocsc()
-            lu = spla.splu(A) if self.n_states <= DIRECT_LIMIT else None
-            self._lu_cache[key] = (A, lu)
+            if self.n_states <= DIRECT_LIMIT:
+                solver = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+            else:
+                solver = _SweepOperator.prepare(A)
+            self._lu_cache[key] = (A, solver)
         return self._lu_cache[key]
 
     def solve(self, b: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
@@ -214,24 +233,51 @@ class TruncatedDomain:
         Up to ``DIRECT_LIMIT`` states this is a sparse LU solve with one
         step of iterative refinement; above it, Gauss-Seidel sweeps.
         """
-        A, lu = self._system(a)
-        if lu is None:
-            return _gauss_seidel(A, b)
-        x = lu.solve(b)
-        x += lu.solve(b - A @ x)
+        A, solver = self._system(a)
+        if isinstance(solver, _SweepOperator):
+            return _gauss_seidel(A, b, solver)
+        x = solver.solve(b)
+        x += solver.solve(b - A @ x)
         return x
 
 
-def _gauss_seidel(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-13,
+class _SweepOperator(NamedTuple):
+    """Forward Gauss-Seidel splitting of ``A``, prepared once per system.
+
+    ``lower`` is the lower triangle of ``A`` with each column scaled by
+    ``1/diag(A)`` and a unit diagonal (CSC), ``upper`` the strict upper
+    triangle (CSR), ``inv_diag`` is ``1/diag(A)``.  A sweep is then the
+    same arithmetic ``spsolve_triangular`` does on the unscaled triangle.
+    """
+
+    lower: sp.csc_matrix
+    upper: sp.csr_matrix
+    inv_diag: np.ndarray
+
+    @classmethod
+    def prepare(cls, A: sp.spmatrix) -> "_SweepOperator":
+        inv_diag = 1.0 / A.diagonal()
+        lower = sp.tril(A, 0, format="csc")
+        lower.data *= np.repeat(inv_diag, np.diff(lower.indptr))
+        lower.setdiag(1.0)
+        return cls(lower, sp.triu(A, 1, format="csr"), inv_diag)
+
+
+def _gauss_seidel(A: sp.spmatrix, b: np.ndarray,
+                  op: _SweepOperator | None = None, tol: float = 1e-13,
                   max_sweeps: int = 100_000) -> np.ndarray:
-    """Forward Gauss-Seidel sweeps with a divergence guard."""
-    L = sp.tril(A, 0).tocsr()
-    U = sp.triu(A, 1).tocsr()
+    """Forward Gauss-Seidel sweeps from zero, with a divergence guard.
+
+    ``op`` is ``A``'s prepared splitting; it is built here when omitted.
+    """
+    L, U, inv_diag = _SweepOperator.prepare(A) if op is None else op
     x = np.zeros_like(b, dtype=float)
     scale = max(1.0, float(np.abs(b).max()))
     best = math.inf
     for _ in range(max_sweeps):
-        x = spla.spsolve_triangular(L, b - U @ x, lower=True)
+        x = inv_diag * spla.spsolve_triangular(L, b - U @ x, lower=True,
+                                               overwrite_A=True,
+                                               unit_diagonal=True)
         res = float(np.abs(b - A @ x).max()) / scale
         if res <= tol:
             return x
@@ -276,9 +322,13 @@ class HarmonicField:
 
     def rows(self):
         """CSV rows ``(x, y, lo, hi, kind, a1, a2)``, state order."""
-        for i, (x, y) in enumerate(self.domain.states):
-            yield (int(x), int(y), float(self.lo[i]), float(self.hi[i]),
-                   self.kind, float(self.a[0]), float(self.a[1]))
+        kind, a1, a2 = self.kind, float(self.a[0]), float(self.a[1])
+        for start in range(0, self.domain.n_states, _CHUNK):
+            part = slice(start, start + _CHUNK)
+            xs, ys = self.domain.states[part].T.tolist()
+            yield from zip(xs, ys, self.lo[part].tolist(),
+                           self.hi[part].tolist(), repeat(kind), repeat(a1),
+                           repeat(a2))
 
 
 # -- far-frontier substitute values ----------------------------------------

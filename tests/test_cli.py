@@ -1,6 +1,9 @@
+import math
+
+import numpy as np
 import pytest
 
-from conewalk.cli import ConfigError, main, parse_config_text
+from conewalk.cli import ConfigError, _write_csv, main, parse_config_text
 
 GOOD_CONFIG = """\
 seed 5
@@ -188,3 +191,31 @@ atom 0 -1 0.25
         header = data[0].split(",")
         assert header[:5] == ["r", "target_x", "target_y", "probe_x", "probe_y"]
         assert len(data) == 1 + 2 * 2
+
+
+class TestCsvWriter:
+    @staticmethod
+    def _joined(v) -> str:
+        """Per-value formatting the writer must reproduce byte for byte."""
+        if isinstance(v, float):
+            return format(v, ".17g")
+        return str(v)
+
+    def test_rows_match_per_value_formatting(self, tmp_path):
+        cfg = parse_config_text(GOOD_CONFIG, name="demo")
+        rows = [
+            (1, 0.1, "a", -0.0),
+            (2.5, 2, "b", math.nan),              # int after float, and back
+            (np.float64(1 / 3), np.int64(3), "c", math.inf),
+            (True, 10**20, None, -math.inf),      # bool and big int stay str
+            (1e17, 10**17, "d", np.float64(-0.0)),
+            [4, 5.0, "e", 6],                     # a list row
+        ]
+        path = tmp_path / "out" / "t.csv"
+        _write_csv(path, cfg, ["note"], ["p", "q", "r", "s"], iter(rows))
+        lines = path.read_bytes().decode().split("\n")
+        assert lines[-1] == ""
+        assert lines[3:5] == ["# note", "p,q,r,s"]
+        assert lines[5:-1] == [",".join(self._joined(v) for v in row)
+                               for row in rows]
+        assert lines[6] == "2.5,2,b,nan"

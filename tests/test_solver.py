@@ -1,13 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from conftest import MODEL_NAMES, load_config
 from conewalk import (Bracket, StepLaw, build_cone, build_cone_from_angles,
-                      build_domain, exit_expectation, green_column,
-                      harmonicity_residual, point_with_normal,
-                      survival_probability, tilt_point)
-from conewalk.solver import HarmonicField, _exit_masks, _gauss_seidel
+                      build_domain, build_h, exit_expectation, green_column,
+                      harmonicity_residual, point_with_normal, solver,
+                      spec_for_endpoint, survival_probability, tilt_point)
+from conewalk.solver import (HarmonicField, _exit_masks, _gauss_seidel,
+                             _SweepOperator)
 
 
 def dp_exit_expectation(law, cone, radius, a, payoff_wall=None, iters=4000):
@@ -63,6 +68,20 @@ class TestDomain:
         from conewalk import DomainSizeError
         with pytest.raises(DomainSizeError):
             build_domain(quadrant_cone, law4, 60, max_states=100)
+
+    def test_oversized_box_rejected_before_enumeration(self, law4,
+                                                       quadrant_cone):
+        # The whole radius-5000 box would take gigabytes; the slab scan
+        # stops once the count passes the cap.
+        from conewalk import DomainSizeError
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainSizeError, match="more than 300000"):
+                build_domain(quadrant_cone, law4, 5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_successor_partition_is_exhaustive(self, law5, quadrant_cone):
         d = build_domain(quadrant_cone, law5, 8)
@@ -296,6 +315,58 @@ class TestSolvers:
         b = np.random.default_rng(4).uniform(0.0, 1.0, d.n_states)
         direct = spla.splu(A).solve(b)
         assert np.allclose(_gauss_seidel(A, b), direct, rtol=1e-11, atol=1e-11)
+
+    @staticmethod
+    def _unprepared_sweeps(A, b, tol=1e-13):
+        """The sweep loop as it stood before the splitting was prepared:
+        ``spsolve_triangular`` scales and re-sorts the triangle each time."""
+        L = sp.tril(A, 0).tocsr()
+        U = sp.triu(A, 1).tocsr()
+        x = np.zeros_like(b)
+        scale = max(1.0, float(np.abs(b).max()))
+        for _ in range(10_000):
+            x = spla.spsolve_triangular(L, b - U @ x, lower=True)
+            if float(np.abs(b - A @ x).max()) / scale <= tol:
+                return x
+        raise AssertionError("reference sweeps did not converge")
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_prepared_sweeps_match_unprepared_triangle(self, model):
+        cfg = load_config(model)
+        d = build_domain(cfg.cone, cfg.law, 40)
+        A, _ = d._system(None)
+        b = (np.random.default_rng(7).uniform(0.0, 1.0, d.n_states)
+             * np.exp(d.states @ np.array([0.1, 0.05])))
+        assert np.array_equal(_gauss_seidel(A, b), self._unprepared_sweeps(A, b))
+
+    def test_prepared_sweeps_on_lazy_law(self, quadrant_cone, monkeypatch):
+        # A (0,0) atom puts 0.7, not 1, on the diagonal of I - P.
+        law = StepLaw({(0, 0): 0.3, (1, 0): 0.3, (-1, 0): 0.1, (0, 1): 0.2,
+                       (0, -1): 0.1})
+        monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
+        d = build_domain(quadrant_cone, law, 30)
+        b = np.random.default_rng(8).uniform(0.0, 1.0, d.n_states)
+        x = d.solve(b)
+        A, op = d._system(None)
+        assert isinstance(op, _SweepOperator)
+        assert d._system(None)[1] is op
+        assert np.all(op.lower.diagonal() == 1.0)
+        ref = self._unprepared_sweeps(A, b)
+        assert np.abs(x - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "sweeps stop on max|b - Ax| / max|b| <= 1e-13; with max|b| far above "
+        "the small states' values those states stay unconverged"))
+    def test_sweep_brackets_contain_direct_brackets(self, monkeypatch):
+        # Asymmetric endpoint 1 at R=100: 459 of 10,000 sweep brackets
+        # miss the direct ones, e.g. [1.0358, 1.0378] against
+        # [1.0407, 1.1556] at (1, 1).
+        cfg = load_config("asymmetric")
+        spec = spec_for_endpoint(cfg.law, cfg.cone, 1)
+        direct = build_h(spec, build_domain(cfg.cone, cfg.law, 100))
+        monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
+        swept = build_h(spec, build_domain(cfg.cone, cfg.law, 100))
+        assert np.all((swept.lo <= direct.hi) & (direct.lo <= swept.hi))
 
     def test_gauss_seidel_divergence_guard(self):
         import scipy.sparse as sp
