@@ -2,9 +2,9 @@
 against the lattice solver, overshoot moments of the projected walk at an
 endpoint tilt, and Green-ratio tables for Martin-kernel experiments.
 
-All sampling is driven by a counter-based generator keyed on
-``(seed, stream_id)``, so every estimate is bit-reproducible and streams
-can be laid out in parallel without coordination.
+Every simulated path runs through one block-stepped kernel, driven by a
+counter-based generator keyed on ``(seed, stream_id)``, so every estimate is
+bit-reproducible and streams can be laid out in parallel without coordination.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ from .harmonic import build_h, classify_spec
 #: an escape bound below this mass; the resolved bias is folded into the
 #: estimate's reporting as "escaped" rather than "truncated".
 ESCAPE_BOUND = 1e-12
+
+#: Uniforms per block of the sampling kernel; it bounds the block
+#: temporaries to a few MB.
+BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,87 +79,92 @@ def _escape_distances(law: StepLaw, cone: ConeGeometry,
     return budget / th1, budget / th2
 
 
+def _walk(cum: np.ndarray, steps: np.ndarray, mass: float, z0, n: int,
+          horizon: int, rng: np.random.Generator, stop):
+    """The sampling kernel: advance ``n`` paths from ``z0`` in blocks.
+
+    A step takes one uniform ``u``: ``u >= mass`` kills the path before the
+    step, else ``u`` picks an atom of ``steps`` by the cumulative weights
+    ``cum``.  ``stop`` maps an ``(m, 2)`` position array to codes, 0 to go
+    on.  The ``live`` paths draw ``k = BUDGET // live`` uniforms each per
+    block (at least 1, at most the steps left); ``argmax`` finds each
+    path's first kill or stop.  Returns per path the code (-1 killed, 0 at
+    ``horizon``), the step count, and the position at a stop.
+    """
+    code = np.zeros(n, dtype=np.int64)
+    count = np.full(n, horizon, dtype=np.int64)
+    end = np.zeros((n, 2), dtype=np.int64)
+    ids = np.arange(n)
+    pos = np.tile(np.asarray(z0, dtype=np.int64), (n, 1))
+    t = 0
+    while len(ids) and t < horizon:
+        live = len(ids)
+        k = min(max(1, BUDGET // live), horizon - t)
+        u = rng.random((live, k))
+        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+        # np.take, and no cumsum over a single step, keep the k = 1 blocks
+        # of a large batch as cheap as one plain step.
+        path = np.take(steps, idx, axis=0)
+        if k > 1:
+            np.cumsum(path, axis=1, out=path)
+        path += pos[:, None, :]
+        hit = stop(path.reshape(-1, 2)).reshape(live, k)
+        if mass < 1.0:
+            hit[u >= mass] = -1
+        stopped = hit != 0
+        going = ~stopped.any(axis=1)
+        done = np.flatnonzero(~going)
+        first = stopped[done].argmax(axis=1)
+        code[ids[done]] = hit[done, first]
+        count[ids[done]] = t + 1 + first
+        end[ids[done]] = path[done, first]
+        ids = ids[going]
+        pos = path[going, -1]
+        t += k
+    return code, count, end
+
+
 def _simulate_batch(tilted: TiltedLaw, cone: ConeGeometry, z0, horizon: int,
                     rng: np.random.Generator, n: int,
                     early_stop: bool = True):
     """Simulate ``n`` tilted paths from ``z0``; returns (which, steps, points).
 
     ``which`` uses the integer codes 1/2/3 for wall1/wall2/both, 0 for
-    horizon, -1 for killed, -2 for escaped.  Vectorised over alive paths.
+    horizon, -1 for killed, -2 for escaped; ``points`` holds cone exits
+    only.  A kill is decided before the step, escape after the exit test.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if tilted.total_mass > 1.0 + 1e-10:
         raise ValueError("tilted weights exceed unit mass; sampling needs a "
                          "tilt inside the unit level set")
-    law = tilted.base
-    steps_arr = law.steps
-    mass = tilted.total_mass
-    cum = np.cumsum(tilted.weights)
-    stop = None
-    if early_stop:
-        stop = _escape_distances(law, cone, tilted.a)
+    escape = _escape_distances(tilted.base, cone, tilted.a) if early_stop else None
 
-    which = np.zeros(n, dtype=np.int64)
-    steps_taken = np.zeros(n, dtype=np.int64)
-    exit_xy = np.zeros((n, 2), dtype=np.int64)
+    def stop(p):
+        bad1, bad2 = cone.wall_violations(p)
+        code = bad1 + 2 * bad2
+        if escape is not None:
+            q = p.astype(float)
+            code[(code == 0) & (q @ cone.f1 >= escape[0])
+                 & (q @ cone.f2 >= escape[1])] = -2
+        return code
 
-    pos = np.tile(np.asarray(z0, dtype=np.int64), (n, 1))
-    ids = np.arange(n)
-
-    def classify_exits(p, live_ids, t):
-        inside = cone.contains_array(p)
-        if inside.all():
-            return p, live_ids, inside
-        out = ~inside
-        out_pts = p[out]
-        out_ids = live_ids[out]
-        bad1, bad2 = cone.wall_violations(out_pts)
-        code = np.where(bad1 & bad2, 3, np.where(bad1, 1, 2))
-        which[out_ids] = code
-        steps_taken[out_ids] = t
-        exit_xy[out_ids] = out_pts
-        return p[inside], live_ids[inside], inside
-
-    # Starting outside the cone exits immediately with zero steps.
-    pos, ids, _ = classify_exits(pos, ids, 0)
-
-    for t in range(1, horizon + 1):
-        if len(ids) == 0:
-            break
-        u = rng.random(len(ids))
-        killed = u >= mass if mass < 1.0 else np.zeros(len(ids), dtype=bool)
-        if killed.any():
-            which[ids[killed]] = -1
-            steps_taken[ids[killed]] = t
-            pos = pos[~killed]
-            ids = ids[~killed]
-            u = u[~killed]
-            if len(ids) == 0:
-                break
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-        pos = pos + steps_arr[idx]
-        pos, ids, _ = classify_exits(pos, ids, t)
-        if stop is not None and len(ids):
-            p = pos.astype(float)
-            safe = (p @ cone.f1 >= stop[0]) & (p @ cone.f2 >= stop[1])
-            if safe.any():
-                which[ids[safe]] = -2
-                steps_taken[ids[safe]] = t
-                pos = pos[~safe]
-                ids = ids[~safe]
-    if len(ids):
-        which[ids] = 0
-        steps_taken[ids] = horizon
-    return which, steps_taken, exit_xy
+    if not cone.contains(z0):
+        # Starting outside the cone exits immediately with zero steps.
+        start = np.tile(np.asarray(z0, dtype=np.int64), (n, 1))
+        return stop(start), np.zeros(n, dtype=np.int64), start
+    which, steps, points = _walk(np.cumsum(tilted.weights), tilted.steps,
+                                 tilted.total_mass, z0, n, horizon, rng, stop)
+    points[which <= 0] = 0
+    return which, steps, points
 
 
 def sample_exit(tilted: TiltedLaw, cone: ConeGeometry, z0, horizon: int,
-                rng: RngSpec, early_stop: bool = False) -> ExitRecord:
+                rng: RngSpec) -> ExitRecord:
     """Simulate one path of the tilted walk until exit, kill, or horizon."""
     gen = rng.generator()
     which, steps, pts = _simulate_batch(tilted, cone, z0, horizon, gen, 1,
-                                        early_stop=early_stop)
+                                        early_stop=False)
     code = int(which[0])
     names = {0: "horizon", -1: "killed", -2: "escaped",
              1: "wall1", 2: "wall2", 3: "both"}
@@ -222,10 +231,10 @@ def overshoot_moment(law: StepLaw, cone: ConeGeometry, wall: int, z0,
     """Mean overshoot below zero of the projected tilted walk at an endpoint.
 
     At the endpoint tilt of ``wall`` the projection of the tilted walk on
-    the wall's inward normal is an exactly mean-zero one-dimensional walk
-    on a rescaled integer lattice; this simulates that projection directly
-    (distributionally identical to projecting the planar walk and far
-    cheaper) until its first entry into the nonpositive half-line and
+    the wall's inward normal is an exactly mean-zero one-dimensional walk.
+    This runs the planar walk under the normalised tilted law through the
+    sampling kernel, stopped only on its first step on or beyond ``wall``
+    (the projection's first entry into the nonpositive half-line), and
     averages the overshoot magnitude in the normal's real units.  The
     mean-zero precondition is asserted before sampling; horizon-censored
     paths show up in ``truncated_fraction``.
@@ -244,38 +253,20 @@ def overshoot_moment(law: StepLaw, cone: ConeGeometry, wall: int, z0,
     w_ints = cone.normal_ints(wall)
     if w_ints is None:
         raise ValueError("overshoot sampling needs a rational wall normal")
-    g0 = math.gcd(abs(w_ints[0]), abs(w_ints[1]))
-    unit = g0 / math.hypot(w_ints[0], w_ints[1])
-    vals = (law.steps[:, 0] * w_ints[0] + law.steps[:, 1] * w_ints[1]) // g0
-    x0 = (int(z0[0]) * w_ints[0] + int(z0[1]) * w_ints[1]) // g0
-    if x0 <= 0:
+    w = np.array(w_ints, dtype=np.int64)
+    if int(np.asarray(z0, dtype=np.int64) @ w) <= 0:
         raise ValueError("start point must lie strictly inside the wall")
 
-    probs = tilted.normalized_probs()
-    cum = np.cumsum(probs)
-    gen = rng.generator()
-    x = np.full(n, x0, dtype=np.int64)
-    ids = np.arange(n)
-    overshoot = np.zeros(n, dtype=np.int64)
-    resolved = np.zeros(n, dtype=bool)
-    for _ in range(horizon):
-        if len(ids) == 0:
-            break
-        u = gen.random(len(ids))
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-        x = x + vals[idx]
-        hit = x <= 0
-        if hit.any():
-            overshoot[ids[hit]] = -x[hit]
-            resolved[ids[hit]] = True
-            x = x[~hit]
-            ids = ids[~hit]
+    code, _, end = _walk(np.cumsum(tilted.normalized_probs()), law.steps, 1.0,
+                         z0, n, horizon, rng.generator(),
+                         lambda p: (p @ w <= 0).astype(np.int64))
+    resolved = code == 1
     n_resolved = int(resolved.sum())
     truncated = 1.0 - n_resolved / n
     if n_resolved == 0:
         return MCEstimate(mean=float("nan"), stderr=float("nan"), n=0,
                           truncated_fraction=truncated)
-    samples = overshoot[resolved] * unit
+    samples = -(end[resolved] @ w) / math.hypot(w_ints[0], w_ints[1])
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(n_resolved)) if n_resolved > 1 else 0.0
     return MCEstimate(mean=mean, stderr=stderr, n=n_resolved,

@@ -256,11 +256,18 @@ class _SweepOperator(NamedTuple):
 
     @classmethod
     def prepare(cls, A: sp.spmatrix) -> "_SweepOperator":
+        A = A.tocsc()
         inv_diag = 1.0 / A.diagonal()
-        lower = sp.tril(A, 0, format="csc")
+        # One row >= column mask splits A's CSC arrays into the triangles.
+        low = A.indices >= np.repeat(np.arange(A.shape[1], dtype=A.indices.dtype),
+                                     np.diff(A.indptr))
+        kept = np.searchsorted(np.flatnonzero(low), A.indptr)
+        lower = sp.csc_matrix((A.data[low], A.indices[low], kept), shape=A.shape)
         lower.data *= np.repeat(inv_diag, np.diff(lower.indptr))
         lower.setdiag(1.0)
-        return cls(lower, sp.triu(A, 1, format="csr"), inv_diag)
+        upper = sp.csc_matrix((A.data[~low], A.indices[~low], A.indptr - kept),
+                              shape=A.shape)
+        return cls(lower, upper.tocsr(), inv_diag)
 
 
 def _gauss_seidel(A: sp.spmatrix, b: np.ndarray,

@@ -233,7 +233,7 @@ def check_quadrant_reference(law: StepLaw, cone: ConeGeometry,
 
 
 def check_endpoint_survival_decay(law: StepLaw, cone: ConeGeometry,
-                                  radii=(50, 100, 200)) -> CriterionResult:
+                                  d100: TruncatedDomain) -> CriterionResult:
     t0 = time.time()
     details = []
     ok = True
@@ -241,8 +241,8 @@ def check_endpoint_survival_decay(law: StepLaw, cone: ConeGeometry,
         point = point_with_normal(law, cone.ray(wall))
         probe = _wall_adjacent_probe(cone, wall)
         uppers = []
-        for r in radii:
-            domain = build_domain(cone, law, r)
+        for r in (50, 100, 200):
+            domain = d100 if r == d100.radius else build_domain(cone, law, r)
             s = survival_probability(law, domain, point)
             uppers.append(s.bracket(probe).hi)
         decreasing = all(a > b for a, b in zip(uppers, uppers[1:]))
@@ -356,7 +356,7 @@ def run_model_suite(cfg, mc_samples: int = 100_000,
     results.append(check_harmonicity(law, cone, d150))
     results.append(check_positivity_refinement(law, cone, d100, d150))
     results.append(check_quadrant_reference(law, cone))
-    results.append(check_endpoint_survival_decay(law, cone))
+    results.append(check_endpoint_survival_decay(law, cone, d100))
     results.append(check_cross_exit_bound(law, cone, seed))
     results.append(check_bracket_invariants(law, cone, d100, d150))
     results.append(check_local_irreducibility(law, cone))

@@ -116,6 +116,37 @@ class TestSampling:
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
 
 
+class TestBlockBoundaries:
+    """A one-atom law moves deterministically, so the exit step and point
+    are known exactly.  With 2**16 uniforms per block the path counts give
+    blocks spanning the whole horizon (1 and 7 paths) and blocks of 3, 2
+    and 1 steps; a horizon past the exit step puts the exit inside a
+    block, a horizon one short of it censors every path."""
+
+    @pytest.mark.parametrize("n", [1, 7, 20_000, 30_000, 50_000])
+    @pytest.mark.parametrize("atom, exit_step, exit_point", [
+        ((-1, 0), 5, (0, 3)),
+        ((-2, 0), 3, (-1, 3)),
+    ])
+    def test_exit_lands_on_its_step(self, quadrant_cone, n, atom, exit_step,
+                                    exit_point):
+        t = StepLaw({atom: 1.0}).tilt((0.0, 0.0))
+
+        def run(horizon):
+            return _simulate_batch(t, quadrant_cone, (5, 3), horizon,
+                                   RngSpec(0, 0).generator(), n)
+
+        for horizon in (exit_step, exit_step + 3):
+            which, steps, pts = run(horizon)
+            assert np.all(which == 1)
+            assert np.all(steps == exit_step)
+            assert np.all(pts == exit_point)
+        which, steps, pts = run(exit_step - 1)
+        assert np.all(which == 0)
+        assert np.all(steps == exit_step - 1)
+        assert np.all(pts == 0)
+
+
 class TestAbsorptionCrosscheck:
     def test_zero_tilt(self, law4, quadrant_cone):
         chk = absorption_crosscheck(law4, quadrant_cone, (0.0, 0.0), (4, 4),
@@ -163,6 +194,32 @@ class TestOvershoot:
                               horizon=100_000, n=800, rng=RngSpec(12, 1))
         combined = math.hypot(e1.stderr, e2.stderr)
         assert abs(e1.mean - e2.mean) <= 3.0 * combined
+
+    def test_replay_is_identical(self, law5, quadrant_cone):
+        runs = [overshoot_moment(law5, quadrant_cone, 1, (4, 4),
+                                 horizon=20_000, n=300, rng=RngSpec(13, 2))
+                for _ in range(2)]
+        assert runs[0] == runs[1]
+
+    def test_draws_come_in_blocks(self, law5, quadrant_cone, monkeypatch):
+        # One draw per surviving step would be up to 100,000 calls here.
+        calls = []
+        plain = RngSpec.generator
+
+        class Counting:
+            def __init__(self, gen):
+                self._gen = gen
+
+            def random(self, *args, **kwargs):
+                calls.append(1)
+                return self._gen.random(*args, **kwargs)
+
+        monkeypatch.setattr(RngSpec, "generator",
+                            lambda self: Counting(plain(self)))
+        est = overshoot_moment(law5, quadrant_cone, 1, (4, 4),
+                               horizon=100_000, n=400, rng=RngSpec(11, 1))
+        assert est.n > 0
+        assert 0 < len(calls) <= 300
 
     def test_start_on_wall_rejected(self, law4, quadrant_cone):
         with pytest.raises(ValueError):
