@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,8 +120,10 @@ def parse_config(path: str | Path) -> ModelConfig:
 # -- output helpers ----------------------------------------------------------
 
 
-def _write_csv(path: Path, cfg: ModelConfig, comments: list[str],
-               header: list[str], rows) -> None:
+@contextmanager
+def _open_csv(path: Path, cfg: ModelConfig, comments: list[str],
+              header: list[str]):
+    """An open CSV file with its header comments and column names written."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# conewalk {__version__}\n"
@@ -128,6 +131,12 @@ def _write_csv(path: Path, cfg: ModelConfig, comments: list[str],
                  f"# tolerances {TOLERANCE_LADDER}\n")
         fh.writelines(f"# {c}\n" for c in comments)
         fh.write(",".join(header) + "\n")
+        yield fh
+
+
+def _write_csv(path: Path, cfg: ModelConfig, comments: list[str],
+               header: list[str], rows) -> None:
+    with _open_csv(path, cfg, comments, header) as fh:
         # Floats (np.float64 too) print with %.17g, anything else with str.
         # One format serves each run of rows with the same value types, so
         # no value is ever printed by a format made for another type.
@@ -139,6 +148,18 @@ def _write_csv(path: Path, cfg: ModelConfig, comments: list[str],
                 fmt = ",".join("%.17g" if issubclass(t, float) else "%s"
                                for t in types) + "\n"
             fh.write(fmt % row)
+
+
+def _harmonic_rows(h):
+    """The ``x,y,lo,hi,kind,a1,a2`` lines of a field, one ``%`` format per
+    block of states.  ``kind,a1,a2`` is the same on every row, so it is
+    formatted once and only the block's numbers go through the format."""
+    tail = "%s,%.17g,%.17g\n" % (h.kind, float(h.a[0]), float(h.a[1]))
+    row = "%d,%d,%.17g,%.17g," + tail.replace("%", "%%")
+    for xs, ys, lo, hi in h.blocks():
+        flat = [None] * (4 * len(xs))
+        flat[0::4], flat[1::4], flat[2::4], flat[3::4] = xs, ys, lo, hi
+        yield (row * len(xs)) % tuple(flat)
 
 
 def _out_dir(args) -> Path:
@@ -202,8 +223,9 @@ def cmd_harmonic(cfg: ModelConfig, args) -> int:
     comments = [f"branch {spec.branch}",
                 f"tilt a=({spec.tilt.a[0]:.17g},{spec.tilt.a[1]:.17g})",
                 f"radius {radius}"]
-    _write_csv(out, cfg, comments,
-               ["x", "y", "lo", "hi", "kind", "a1", "a2"], h.rows())
+    with _open_csv(out, cfg, comments,
+                   ["x", "y", "lo", "hi", "kind", "a1", "a2"]) as fh:
+        fh.writelines(_harmonic_rows(h))
     diagnostics = {
         "branch": spec.branch,
         "warning": spec.warning,

@@ -25,8 +25,9 @@ grows, and add exactly across the exit-event partition:
 from __future__ import annotations
 
 import math
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -120,11 +121,13 @@ class TruncatedDomain:
         self.states = states
         self.n_states = len(states)
 
+        # State and atom indices are int32, which halves the largest arrays
+        # a domain keeps; a domain of 2**31 states would not fit in memory.
         edge_src, edge_dst, edge_atom = [], [], []
         far_src, far_atom, far_pts = [], [], []
         exit_src, exit_atom, exit_pts = [], [], []
-        src_all = np.arange(self.n_states)
-        grid = -np.ones((2 * r + 1, 2 * r + 1), dtype=np.int64)
+        src_all = np.arange(self.n_states, dtype=np.int32)
+        grid = np.full((2 * r + 1, 2 * r + 1), -1, dtype=np.int32)
         grid[states[:, 0] + r, states[:, 1] + r] = src_all
         self._grid = grid
         for k, step in enumerate(law.steps):
@@ -138,31 +141,30 @@ class TruncatedDomain:
                 dst = grid[succ[interior, 0] + r, succ[interior, 1] + r]
                 edge_src.append(src_all[interior])
                 edge_dst.append(dst)
-                edge_atom.append(np.full(int(interior.sum()), k))
+                edge_atom.append(np.full(int(interior.sum()), k, dtype=np.int32))
             if far.any():
                 far_src.append(src_all[far])
-                far_atom.append(np.full(int(far.sum()), k))
+                far_atom.append(np.full(int(far.sum()), k, dtype=np.int32))
                 far_pts.append(succ[far])
             if ex.any():
                 exit_src.append(src_all[ex])
-                exit_atom.append(np.full(int(ex.sum()), k))
+                exit_atom.append(np.full(int(ex.sum()), k, dtype=np.int32))
                 exit_pts.append(succ[ex])
 
-        def _cat(parts, width=None):
-            if not parts:
-                shape = (0,) if width is None else (0, width)
-                return np.zeros(shape, dtype=np.int64)
-            return np.concatenate(parts)
+        def _cat(parts, empty):
+            return np.concatenate(parts) if parts else empty
 
-        self.edge_src = _cat(edge_src)
-        self.edge_dst = _cat(edge_dst)
-        self.edge_atom = _cat(edge_atom)
-        self.far_src = _cat(far_src)
-        self.far_atom = _cat(far_atom)
-        self.far_pts = _cat(far_pts, width=2)
-        self.exit_src = _cat(exit_src)
-        self.exit_atom = _cat(exit_atom)
-        self.exit_pts = _cat(exit_pts, width=2)
+        no_index = np.zeros(0, dtype=np.int32)
+        no_point = np.zeros((0, 2), dtype=np.int64)
+        self.edge_src = _cat(edge_src, no_index)
+        self.edge_dst = _cat(edge_dst, no_index)
+        self.edge_atom = _cat(edge_atom, no_index)
+        self.far_src = _cat(far_src, no_index)
+        self.far_atom = _cat(far_atom, no_index)
+        self.far_pts = _cat(far_pts, no_point)
+        self.exit_src = _cat(exit_src, no_index)
+        self.exit_atom = _cat(exit_atom, no_index)
+        self.exit_pts = _cat(exit_pts, no_point)
         self._matrix_cache: dict = {}
         self._lu_cache: dict = {}
 
@@ -214,28 +216,45 @@ class TruncatedDomain:
         return self._matrix_cache[key]
 
     def _system(self, a: np.ndarray | None):
-        """``(A, solver)`` for ``A = I - P_a``: a sparse LU up to
-        ``DIRECT_LIMIT`` states, the prepared sweep operator above it."""
+        """``(A, lu)`` for ``A = I - P_a`` up to ``DIRECT_LIMIT`` states;
+        above it ``(None, op)``, the prepared sweep operator, whose sweeps
+        never read ``A``, so ``A`` is not kept."""
         key = self._tilt_key(a)
         if key not in self._lu_cache:
             P = self.transition_matrix(a)
             A = (sp.identity(self.n_states, format="csr") - P).tocsc()
             if self.n_states <= DIRECT_LIMIT:
-                solver = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+                self._lu_cache[key] = (A, spla.splu(A, permc_spec="MMD_AT_PLUS_A"))
             else:
-                solver = _SweepOperator.prepare(A)
-            self._lu_cache[key] = (A, solver)
+                self._lu_cache[key] = (None, _SweepOperator.prepare(A))
         return self._lu_cache[key]
 
     def solve(self, b: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
-        """Solve ``(I - P_a) x = b``.
+        """Solve ``(I - P_a) x = b`` for ``b`` of shape ``(n,)`` or ``(n, k)``.
 
         Up to ``DIRECT_LIMIT`` states this is a sparse LU solve with one
-        step of iterative refinement; above it, Gauss-Seidel sweeps.
+        step of iterative refinement, on all columns at once.  Above it,
+        each column runs its own Gauss-Seidel sweeps on its own thread,
+        the first column on the calling thread: the triangular solves and
+        mat-vecs release the GIL, and every further thread's allocator
+        arena takes resident memory that the calling thread's heap, freed
+        by the system set-up, already holds.
         """
         A, solver = self._system(a)
         if isinstance(solver, _SweepOperator):
-            return _gauss_seidel(A, b, solver)
+            if b.ndim == 1:
+                return _gauss_seidel(None, b, solver)
+            first, *rest = b.T
+            # spsolve_triangular sets its unit diagonal inside
+            # warnings.catch_warnings, which is not thread-safe: concurrent
+            # sweeps can leave a stray "ignore" filter behind.  Restoring
+            # the caller's filters after the last column discards it.
+            with warnings.catch_warnings(), \
+                    ThreadPoolExecutor(max_workers=max(1, len(rest))) as pool:
+                futures = [pool.submit(_gauss_seidel, None, col, solver)
+                           for col in rest]
+                x = [_gauss_seidel(None, first, solver)]
+                return np.column_stack(x + [f.result() for f in futures])
         x = solver.solve(b)
         x += solver.solve(b - A @ x)
         return x
@@ -270,27 +289,38 @@ class _SweepOperator(NamedTuple):
         return cls(lower, upper.tocsr(), inv_diag)
 
 
-def _gauss_seidel(A: sp.spmatrix, b: np.ndarray,
+def _gauss_seidel(A: sp.spmatrix | None, b: np.ndarray,
                   op: _SweepOperator | None = None, tol: float = 1e-13,
                   max_sweeps: int = 100_000) -> np.ndarray:
     """Forward Gauss-Seidel sweeps from zero, with a divergence guard.
 
-    ``op`` is ``A``'s prepared splitting; it is built here when omitted.
+    ``op`` is ``A``'s prepared splitting; ``A`` is read only to build it
+    when it is omitted.  A sweep solves ``tril(A) x_new = b - U x_old``,
+    so the residual is ``b - A x_new = U x_old - U x_new``: the one
+    mat-vec ``U x_new`` of a sweep both tests the stop rule and starts
+    the next sweep's right-hand side.
     """
     L, U, inv_diag = _SweepOperator.prepare(A) if op is None else op
     x = np.zeros_like(b, dtype=float)
+    Ux = np.zeros_like(x)
     scale = max(1.0, float(np.abs(b).max()))
     best = math.inf
     for _ in range(max_sweeps):
-        x = inv_diag * spla.spsolve_triangular(L, b - U @ x, lower=True,
-                                               overwrite_A=True,
-                                               unit_diagonal=True)
-        res = float(np.abs(b - A @ x).max()) / scale
+        # overwrite_A lets spsolve_triangular call setdiag(1) on the shared
+        # triangle in place.  prepare stores every diagonal entry as 1.0,
+        # so concurrent sweeps only rewrite equal values into existing
+        # slots and the sparsity structure never changes.
+        x = spla.spsolve_triangular(L, b - Ux, lower=True, overwrite_A=True,
+                                    overwrite_b=True, unit_diagonal=True)
+        x *= inv_diag
+        Ux_new = U @ x
+        res = float(np.abs(Ux - Ux_new).max()) / scale
         if res <= tol:
             return x
         if res > 10.0 * best and best < math.inf:
             raise NonConvergenceError("Gauss-Seidel sweeps diverge")
         best = min(best, res)
+        Ux = Ux_new
     raise NonConvergenceError(
         f"Gauss-Seidel did not reach {tol:.1e} in {max_sweeps} sweeps")
 
@@ -327,15 +357,13 @@ class HarmonicField:
         i = self.domain.index_of(z)
         return Bracket(float(self.lo[i]), float(self.hi[i]))
 
-    def rows(self):
-        """CSV rows ``(x, y, lo, hi, kind, a1, a2)``, state order."""
-        kind, a1, a2 = self.kind, float(self.a[0]), float(self.a[1])
+    def blocks(self):
+        """Columns ``(x, y, lo, hi)`` as lists, ``_CHUNK`` states at a
+        time, in state order."""
         for start in range(0, self.domain.n_states, _CHUNK):
             part = slice(start, start + _CHUNK)
             xs, ys = self.domain.states[part].T.tolist()
-            yield from zip(xs, ys, self.lo[part].tolist(),
-                           self.hi[part].tolist(), repeat(kind), repeat(a1),
-                           repeat(a2))
+            yield xs, ys, self.lo[part].tolist(), self.hi[part].tolist()
 
 
 # -- far-frontier substitute values ----------------------------------------
@@ -497,8 +525,7 @@ def exit_expectation(law: StepLaw, domain: TruncatedDomain, a,
         b_hi += np.bincount(domain.far_src, weights=w * hi_vals,
                             minlength=domain.n_states)
 
-    lo = domain.solve(b_lo, a=None)
-    hi = domain.solve(b_hi, a=None)
+    lo, hi = domain.solve(np.column_stack([b_lo, b_hi]), a=None).T
     kind = {"exp": "exp", "linear_wall1": "linear_wall1",
             "linear_wall2": "linear_wall2"}[payoff]
     return HarmonicField(domain=domain, kind=kind, a=av.copy(),
@@ -534,10 +561,8 @@ def survival_probability(law: StepLaw, domain: TruncatedDomain, a) -> HarmonicFi
                             minlength=domain.n_states)
         b_hi += np.bincount(domain.far_src, weights=w,
                             minlength=domain.n_states)
-    lo = domain.solve(b_lo, a=av)
-    hi = domain.solve(b_hi, a=av)
-    lo = np.clip(lo, 0.0, 1.0)
-    hi = np.clip(hi, 0.0, 1.0)
+    lo, hi = np.clip(domain.solve(np.column_stack([b_lo, b_hi]), a=av).T,
+                     0.0, 1.0)
     return HarmonicField(domain=domain, kind="survival", a=av.copy(),
                          lo=np.minimum(lo, hi), hi=np.maximum(lo, hi))
 

@@ -331,13 +331,29 @@ class TestSolvers:
         raise AssertionError("reference sweeps did not converge")
 
     @pytest.mark.parametrize("model", MODEL_NAMES)
-    def test_prepared_sweeps_match_unprepared_triangle(self, model):
+    def test_prepared_sweeps_match_unprepared_triangle(self, model,
+                                                       monkeypatch):
         cfg = load_config(model)
         d = build_domain(cfg.cone, cfg.law, 40)
         A, _ = d._system(None)
         b = (np.random.default_rng(7).uniform(0.0, 1.0, d.n_states)
              * np.exp(d.states @ np.array([0.1, 0.05])))
-        assert np.array_equal(_gauss_seidel(A, b), self._unprepared_sweeps(A, b))
+        calls = []
+        triangular = spla.spsolve_triangular
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return triangular(*args, **kwargs)
+
+        # solver reaches the same module attribute through its spla alias.
+        monkeypatch.setattr(spla, "spsolve_triangular", counted)
+        swept = _gauss_seidel(A, b)
+        prepared_sweeps = len(calls)
+        calls.clear()
+        ref = self._unprepared_sweeps(A, b)
+        # The U x_old - U x_new residual stops on the same sweep as b - A x.
+        assert prepared_sweeps == len(calls) > 1
+        assert np.array_equal(swept, ref)
 
     def test_prepared_sweeps_on_lazy_law(self, quadrant_cone, monkeypatch):
         # A (0,0) atom puts 0.7, not 1, on the diagonal of I - P.
@@ -347,12 +363,81 @@ class TestSolvers:
         d = build_domain(quadrant_cone, law, 30)
         b = np.random.default_rng(8).uniform(0.0, 1.0, d.n_states)
         x = d.solve(b)
-        A, op = d._system(None)
+        # The sweep path keeps only the prepared operator, not A.
+        kept, op = d._system(None)
+        assert kept is None
+        A = (sp.identity(d.n_states, format="csr")
+             - d.transition_matrix(None)).tocsc()
         assert isinstance(op, _SweepOperator)
         assert d._system(None)[1] is op
         assert np.all(op.lower.diagonal() == 1.0)
         ref = self._unprepared_sweeps(A, b)
         assert np.abs(x - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("path", ["direct", "sweeps"])
+    def test_two_columns_match_one_column_solves(self, path, monkeypatch):
+        if path == "sweeps":
+            monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
+        cfg = load_config("asymmetric")
+        d = build_domain(cfg.cone, cfg.law, 40)
+        rng = np.random.default_rng(9)
+        b1 = (rng.uniform(0.0, 1.0, d.n_states)
+              * np.exp(d.states @ np.array([0.1, 0.05])))
+        b2 = rng.uniform(0.0, 1.0, d.n_states)
+        a = np.array([0.02, -0.01])
+        X = d.solve(np.column_stack([b1, b2]), a)
+        assert X.shape == (d.n_states, 2)
+        x1 = d.solve(b1, a)
+        assert x1.shape == (d.n_states,)
+        assert np.array_equal(X[:, 0], x1)
+        assert np.array_equal(X[:, 1], d.solve(b2, a))
+
+    def test_concurrent_sweeps_share_the_triangle(self, monkeypatch):
+        # More columns than cores and a short switch interval: the threads
+        # interleave inside the shared triangle's setdiag, which must only
+        # rewrite stored ones and leave its structure alone.
+        import sys
+        import warnings
+        monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
+        cfg = load_config("cone45")
+        d = build_domain(cfg.cone, cfg.law, 30)
+        B = np.random.default_rng(10).uniform(0.0, 1.0, (d.n_states, 4))
+        singles = [d.solve(col) for col in B.T]
+        _, op = d._system(None)
+        indptr, indices = op.lower.indptr.copy(), op.lower.indices.copy()
+        filters = list(warnings.filters)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            X = d.solve(B)
+        finally:
+            sys.setswitchinterval(interval)
+        # No warning filter leaks out of the concurrent setdiag calls.
+        assert warnings.filters == filters
+        for k, x in enumerate(singles):
+            assert np.array_equal(X[:, k], x)
+        assert np.array_equal(op.lower.indptr, indptr)
+        assert np.array_equal(op.lower.indices, indices)
+        assert np.all(op.lower.diagonal() == 1.0)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_failed_column_reaches_the_caller(self, failing, monkeypatch):
+        from conewalk import NonConvergenceError
+        monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
+        cfg = load_config("quadrant")
+        d = build_domain(cfg.cone, cfg.law, 20)
+        B = np.column_stack([np.full(d.n_states, 1.0),
+                             np.full(d.n_states, 2.0)])
+        sweeps = solver._gauss_seidel
+
+        def flaky(A, b, op=None, **kwargs):
+            if b[0] == 1.0 + failing:
+                raise NonConvergenceError("injected")
+            return sweeps(A, b, op, **kwargs)
+
+        monkeypatch.setattr(solver, "_gauss_seidel", flaky)
+        with pytest.raises(NonConvergenceError, match="injected"):
+            d.solve(B)
 
     @pytest.mark.xfail(strict=True, reason=(
         "sweeps stop on max|b - Ax| / max|b| <= 1e-13; with max|b| far above "
