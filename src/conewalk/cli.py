@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -25,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cone import ConeGeometry, build_cone, build_cone_from_angles
+from .cone import (ConeGeometry, _angle_between, build_cone,
+                   build_cone_from_angles)
 from .errors import DomainSizeError, NonConvergenceError
 from .harmonic import build_h, check_positive, spec_for_direction, spec_for_endpoint
 from .montecarlo import martin_ratio_table
@@ -40,6 +40,14 @@ TOLERANCE_LADDER = (f"level_residual={LEVEL_TOL:g} angular={ANGLE_TOL:g} "
 
 class ConfigError(ValueError):
     """Config parse failure; the message names the field and line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors for :func:`main` to report as bad input (exit 3);
+    argparse would exit with 2, which here means non-convergence."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
 
 @dataclass
@@ -179,14 +187,14 @@ def cmd_validate(cfg: ModelConfig, args) -> int:
 
 
 def cmd_boundary(cfg: ModelConfig, args) -> int:
-    n = args.samples or 64
+    n = 64 if args.samples is None else args.samples
     rows = boundary_polyline(cfg.law, n)
     arc = boundary_arc(cfg.law, cfg.cone)
     comments = []
     for label, ep, ray in (("arc_endpoint_1", arc.endpoint1, cfg.cone.c1),
                            ("arc_endpoint_2", arc.endpoint2, cfg.cone.c2)):
         q = normal_direction(cfg.law, ep)
-        ang = math.atan2(abs(q[0] * ray[1] - q[1] * ray[0]), float(q @ ray))
+        ang = _angle_between(q, ray)
         comments.append(f"{label} a=({ep.a[0]:.17g},{ep.a[1]:.17g}) "
                         f"level_residual={ep.value - 1.0:.3e} "
                         f"normal_residual={ang:.3e}")
@@ -206,7 +214,7 @@ def _parse_direction(text: str) -> np.ndarray:
 
 
 def cmd_harmonic(cfg: ModelConfig, args) -> int:
-    radius = args.radius or cfg.radius
+    radius = cfg.radius if args.radius is None else args.radius
     domain = build_domain(cfg.cone, cfg.law, radius)
     if args.endpoint:
         spec = spec_for_endpoint(cfg.law, cfg.cone, int(args.endpoint))
@@ -253,7 +261,7 @@ def cmd_harmonic(cfg: ModelConfig, args) -> int:
 
 
 def cmd_martin(cfg: ModelConfig, args) -> int:
-    radius = args.radius or cfg.radius
+    radius = cfg.radius if args.radius is None else args.radius
     q = _parse_direction(args.q) if args.q else cfg.law.drift()
     radii = [float(r) for r in args.radii.split(",")] if args.radii else \
         [radius * f for f in (0.3, 0.5, 0.7)]
@@ -288,8 +296,9 @@ def _default_probes(cfg: ModelConfig, count: int) -> list[tuple[int, int]]:
 def cmd_verify(cfg: ModelConfig, args) -> int:
     from .montecarlo import RngSpec, overshoot_moment
     from .verify import run_model_suite
-    results = run_model_suite(cfg, mc_samples=args.samples or 100_000,
-                              horizon=args.horizon or 10_000)
+    results = run_model_suite(
+        cfg, mc_samples=100_000 if args.samples is None else args.samples,
+        horizon=10_000 if args.horizon is None else args.horizon)
     rows = []
     mc_rows = []
     for r in results:
@@ -328,7 +337,7 @@ def _wall_probe(cfg: ModelConfig, wall: int) -> tuple[int, int]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conewalk",
         description="Killed random walks in planar convex lattice cones: "
                     "harmonic functions, certified brackets, experiments.")
@@ -366,8 +375,11 @@ def main(argv=None) -> int:
                                    help="comma-separated target radii")
     parsers["martin"].add_argument("--probes",
                                    help="semicolon-separated probes 'x,y;x,y'")
-    args = parser.parse_args(argv)
-
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return 3
     try:
         cfg = parse_config(args.config)
     except ConfigError as exc:

@@ -32,6 +32,11 @@ def _rot90(v: np.ndarray) -> np.ndarray:
     return np.array([-v[1], v[0]], dtype=v.dtype)
 
 
+def _angle_between(u: np.ndarray, v: np.ndarray) -> float:
+    """Unsigned angle between two plane vectors, in ``[0, pi]``."""
+    return math.atan2(abs(u[0] * v[1] - u[1] * v[0]), float(u @ v))
+
+
 @dataclass(frozen=True)
 class ConeGeometry:
     """Boundary rays, inward normals, and membership predicates.
@@ -129,10 +134,7 @@ class ConeGeometry:
 
 def _build(c1: np.ndarray, c2: np.ndarray,
            exact: tuple[tuple[int, int], tuple[int, int]] | None) -> ConeGeometry:
-    cross = float(c1[0] * c2[1] - c1[1] * c2[0])
-    dot = float(c1 @ c2)
-    angle = math.atan2(abs(cross), dot)
-    if abs(cross) < 1e-14:
+    if abs(float(c1[0] * c2[1] - c1[1] * c2[0])) < 1e-14:
         raise ValueError("boundary rays are collinear; the opening angle "
                          "must lie strictly inside (0, pi)")
     f1 = _rot90(c1)
@@ -156,7 +158,8 @@ def _build(c1: np.ndarray, c2: np.ndarray,
         w2 = (r2[0] // g2, r2[1] // g2)
     for v in (c1, c2, f1, f2):
         v.setflags(write=False)
-    return ConeGeometry(c1=c1, c2=c2, f1=f1, f2=f2, opening_angle=angle,
+    return ConeGeometry(c1=c1, c2=c2, f1=f1, f2=f2,
+                        opening_angle=_angle_between(c1, c2),
                         exact_dirs=exact, _w1=w1, _w2=w2)
 
 

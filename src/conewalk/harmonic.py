@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeGeometry
+from .cone import ConeGeometry, _angle_between
 from .solver import (Bracket, HarmonicField, TruncatedDomain,
                      DEFAULT_DELTA_GRID, exit_expectation)
 from .steplaw import StepLaw
@@ -35,10 +35,6 @@ BRANCH_ANGLE_TOL = 1e-8
 
 #: Within 10x of the branch tolerance a warning is attached to the spec.
 BRANCH_WARN_FACTOR = 10.0
-
-
-def _angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    return math.atan2(abs(u[0] * v[1] - u[1] * v[0]), float(u @ v))
 
 
 @dataclass(frozen=True)

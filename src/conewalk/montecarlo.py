@@ -135,6 +135,8 @@ def _simulate_batch(tilted: TiltedLaw, cone: ConeGeometry, z0, horizon: int,
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    if n < 1:
+        raise ValueError("sample count must be at least 1")
     if tilted.total_mass > 1.0 + 1e-10:
         raise ValueError("tilted weights exceed unit mass; sampling needs a "
                          "tilt inside the unit level set")

@@ -50,6 +50,9 @@ DIRECT_LIMIT = 200_000
 #: listed, which bounds the temporaries of both.
 _CHUNK = 16_384
 
+#: Codes of ``TruncatedDomain.succ`` for successors that are not states.
+EXIT, FAR = -1, -2
+
 PAYOFFS = ("exp", "linear_wall1", "linear_wall2")
 RESTRICTIONS = ("all_exits", "only_wall1_first", "only_wall2_first")
 
@@ -75,17 +78,14 @@ class Bracket:
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def overlaps(self, other: "Bracket", slack: float = 0.0) -> bool:
-        return self.lo <= other.hi + slack and other.lo <= self.hi + slack
-
 
 class TruncatedDomain:
     """Indexed cone lattice points inside a box, with one-step structure.
 
-    States are ordered lexicographically for reproducibility.  The
-    per-atom successor tables (interior edges, far-frontier hits, exit
-    hits) are precomputed once; transition matrices and factorisations
-    for particular tilts are cached on demand.
+    States are ordered lexicographically for reproducibility.  One
+    successor table classifies every state's one-step successors once;
+    transition matrices are built from it, and factorisations for
+    particular tilts are cached on demand.
     """
 
     def __init__(self, cone: ConeGeometry, law: StepLaw, radius: int,
@@ -121,51 +121,21 @@ class TruncatedDomain:
         self.states = states
         self.n_states = len(states)
 
-        # State and atom indices are int32, which halves the largest arrays
-        # a domain keeps; a domain of 2**31 states would not fit in memory.
-        edge_src, edge_dst, edge_atom = [], [], []
-        far_src, far_atom, far_pts = [], [], []
-        exit_src, exit_atom, exit_pts = [], [], []
-        src_all = np.arange(self.n_states, dtype=np.int32)
-        grid = np.full((2 * r + 1, 2 * r + 1), -1, dtype=np.int32)
-        grid[states[:, 0] + r, states[:, 1] + r] = src_all
+        # succ[i, k] is the state index of states[i] + steps[k], or EXIT
+        # outside the cone, or FAR inside the cone beyond the box.  It is
+        # int32, which halves the largest array a domain keeps; a domain of
+        # 2**31 states would not fit in memory.
+        grid = np.full((2 * r + 1, 2 * r + 1), EXIT, dtype=np.int32)
+        grid[states[:, 0] + r, states[:, 1] + r] = np.arange(
+            self.n_states, dtype=np.int32)
         self._grid = grid
+        self.succ = np.empty((self.n_states, len(law.steps)), dtype=np.int32)
         for k, step in enumerate(law.steps):
-            succ = states + step
-            in_cone = cone.contains_array(succ)
-            in_box = np.abs(succ).max(axis=1) <= r
-            interior = in_cone & in_box
-            far = in_cone & ~in_box
-            ex = ~in_cone
-            if interior.any():
-                dst = grid[succ[interior, 0] + r, succ[interior, 1] + r]
-                edge_src.append(src_all[interior])
-                edge_dst.append(dst)
-                edge_atom.append(np.full(int(interior.sum()), k, dtype=np.int32))
-            if far.any():
-                far_src.append(src_all[far])
-                far_atom.append(np.full(int(far.sum()), k, dtype=np.int32))
-                far_pts.append(succ[far])
-            if ex.any():
-                exit_src.append(src_all[ex])
-                exit_atom.append(np.full(int(ex.sum()), k, dtype=np.int32))
-                exit_pts.append(succ[ex])
-
-        def _cat(parts, empty):
-            return np.concatenate(parts) if parts else empty
-
-        no_index = np.zeros(0, dtype=np.int32)
-        no_point = np.zeros((0, 2), dtype=np.int64)
-        self.edge_src = _cat(edge_src, no_index)
-        self.edge_dst = _cat(edge_dst, no_index)
-        self.edge_atom = _cat(edge_atom, no_index)
-        self.far_src = _cat(far_src, no_index)
-        self.far_atom = _cat(far_atom, no_index)
-        self.far_pts = _cat(far_pts, no_point)
-        self.exit_src = _cat(exit_src, no_index)
-        self.exit_atom = _cat(exit_atom, no_index)
-        self.exit_pts = _cat(exit_pts, no_point)
-        self._matrix_cache: dict = {}
+            pts = states + step
+            in_box = np.abs(pts).max(axis=1) <= r
+            col = self.succ[:, k]
+            col[in_box] = grid[pts[in_box, 0] + r, pts[in_box, 1] + r]
+            col[~in_box] = np.where(cone.contains_array(pts[~in_box]), FAR, EXIT)
         self._lu_cache: dict = {}
 
     # -- bookkeeping --------------------------------------------------------
@@ -181,39 +151,31 @@ class TruncatedDomain:
         r = self.radius
         return max(abs(x), abs(y)) <= r and bool(self._grid[x + r, y + r] >= 0)
 
-    @property
-    def far_points(self) -> np.ndarray:
-        """Distinct far-frontier points, lexicographically sorted."""
-        if len(self.far_pts) == 0:
-            return self.far_pts
-        return np.unique(self.far_pts, axis=0)
-
-    @property
-    def exit_points(self) -> np.ndarray:
-        if len(self.exit_pts) == 0:
-            return self.exit_pts
-        return np.unique(self.exit_pts, axis=0)
+    def successors(self, code: int):
+        """``(src, atom, points)`` of the successors classed ``code``
+        (``FAR`` or ``EXIT``), in state then atom order."""
+        src, atom = np.nonzero(self.succ == code)
+        return src, atom, self.states[src] + self.law.steps[atom]
 
     # -- kernels ------------------------------------------------------------
-
-    def _atom_weights(self, a: np.ndarray | None) -> np.ndarray:
-        if a is None:
-            return self.law.probs
-        return self.law.probs * np.exp(self.law.steps @ a)
 
     def _tilt_key(self, a: np.ndarray | None):
         return None if a is None else (float(a[0]), float(a[1]))
 
     def transition_matrix(self, a: np.ndarray | None = None) -> sp.csr_matrix:
-        """Interior-to-interior kernel, exponentially tilted by ``a``."""
-        key = self._tilt_key(a)
-        if key not in self._matrix_cache:
-            w = self._atom_weights(a)
-            data = w[self.edge_atom]
-            P = sp.csr_matrix((data, (self.edge_src, self.edge_dst)),
-                              shape=(self.n_states, self.n_states))
-            self._matrix_cache[key] = P
-        return self._matrix_cache[key]
+        """Interior-to-interior kernel, exponentially tilted by ``a``.
+
+        Rows list their interior successors in atom order, which is column
+        order because the steps and the states are both lexicographic.
+        """
+        w = self.law.probs if a is None else self.law.tilt(a).weights
+        inside = self.succ >= 0
+        indptr = np.zeros(self.n_states + 1, dtype=np.int32)
+        np.cumsum(inside.sum(axis=1), out=indptr[1:])
+        atom = np.broadcast_to(np.arange(len(w), dtype=np.min_scalar_type(len(w))),
+                               inside.shape)
+        return sp.csr_matrix((w[atom[inside]], self.succ[inside], indptr),
+                             shape=(self.n_states, self.n_states))
 
     def _system(self, a: np.ndarray | None):
         """``(A, lu)`` for ``A = I - P_a`` up to ``DIRECT_LIMIT`` states;
@@ -499,30 +461,30 @@ def exit_expectation(law: StepLaw, domain: TruncatedDomain, a,
     cone = domain.cone
 
     b_exit = np.zeros(domain.n_states)
-    if len(domain.exit_pts):
-        pts = domain.exit_pts
+    src, atom, pts = domain.successors(EXIT)
+    if len(pts):
         g = np.exp(pts @ av)
         if payoff != "exp":
             wall = 1 if payoff == "linear_wall1" else 2
             g = g * (pts.astype(float) @ cone.normal(wall))
         mask = _restriction_mask(cone, pts, restriction, payoff)
-        w = law.probs[domain.exit_atom]
-        b_exit = np.bincount(domain.exit_src, weights=w * g * mask,
+        b_exit = np.bincount(src, weights=law.probs[atom] * g * mask,
                              minlength=domain.n_states)
 
     b_lo = b_exit.copy()
     b_hi = b_exit.copy()
-    if len(domain.far_pts):
+    src, atom, pts = domain.successors(FAR)
+    if len(pts):
         bounds = FarBounds.build(law, cone, av, payoff, delta_grid)
-        pts = domain.far_pts.astype(float)
+        pts = pts.astype(float)
         e_ay = np.exp(pts @ av)
         fd1 = pts @ cone.f1
         fd2 = pts @ cone.f2
         lo_vals, hi_vals = bounds.values(restriction, e_ay, fd1, fd2)
-        w = law.probs[domain.far_atom]
-        b_lo += np.bincount(domain.far_src, weights=w * lo_vals,
+        w = law.probs[atom]
+        b_lo += np.bincount(src, weights=w * lo_vals,
                             minlength=domain.n_states)
-        b_hi += np.bincount(domain.far_src, weights=w * hi_vals,
+        b_hi += np.bincount(src, weights=w * hi_vals,
                             minlength=domain.n_states)
 
     lo, hi = domain.solve(np.column_stack([b_lo, b_hi]), a=None).T
@@ -548,18 +510,18 @@ def survival_probability(law: StepLaw, domain: TruncatedDomain, a) -> HarmonicFi
     kill = max(0.0, 1.0 - point.value)
     b_lo = np.full(domain.n_states, kill)
     b_hi = np.full(domain.n_states, kill)
-    if len(domain.far_pts):
+    src, atom, pts = domain.successors(FAR)
+    if len(pts):
         th1 = wall_decay_exponent(law, av, cone.f1)
         th2 = wall_decay_exponent(law, av, cone.f2)
-        pts = domain.far_pts.astype(float)
+        pts = pts.astype(float)
         fd1 = pts @ cone.f1
         fd2 = pts @ cone.f2
         lo_vals = np.maximum(0.0, 1.0 - np.exp(-th1 * fd1) - np.exp(-th2 * fd2))
-        atom_w = law.probs * np.exp(law.steps @ av)
-        w = atom_w[domain.far_atom]
-        b_lo += np.bincount(domain.far_src, weights=w * lo_vals,
+        w = law.tilt(av).weights[atom]
+        b_lo += np.bincount(src, weights=w * lo_vals,
                             minlength=domain.n_states)
-        b_hi += np.bincount(domain.far_src, weights=w,
+        b_hi += np.bincount(src, weights=w,
                             minlength=domain.n_states)
     lo, hi = np.clip(domain.solve(np.column_stack([b_lo, b_hi]), a=av).T,
                      0.0, 1.0)
@@ -580,10 +542,10 @@ def green_column(law: StepLaw, domain: TruncatedDomain, target) -> HarmonicField
     b[t] = 1.0
     lo = domain.solve(b, a=None)
     b_hi = b.copy()
-    if len(domain.far_pts):
+    src, atom, _ = domain.successors(FAR)
+    if len(src):
         far_value = float(lo.max())
-        w = law.probs[domain.far_atom]
-        b_hi += np.bincount(domain.far_src, weights=w * far_value,
+        b_hi += np.bincount(src, weights=law.probs[atom] * far_value,
                             minlength=domain.n_states)
     hi = domain.solve(b_hi, a=None)
     return HarmonicField(domain=domain, kind="green",
@@ -621,9 +583,7 @@ def harmonicity_residual(h: HarmonicField, law: StepLaw,
     that slack, relative to the largest field magnitude.
     """
     P = domain.transition_matrix(None)
-    eligible = np.ones(domain.n_states, dtype=bool)
-    if len(domain.far_src):
-        eligible[np.unique(domain.far_src)] = False
+    eligible = ~(domain.succ == FAR).any(axis=1)
     mid = h.mid
     width = h.width
     r = mid - P @ mid

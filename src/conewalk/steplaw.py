@@ -145,11 +145,6 @@ class TiltedLaw:
     def steps(self) -> np.ndarray:
         return self.base.steps
 
-    @property
-    def kill_probability(self) -> float:
-        """Per-step mass deficit ``1 - total_mass`` (clipped at zero)."""
-        return max(0.0, 1.0 - self.total_mass)
-
     def normalized_probs(self) -> np.ndarray:
         return self.weights / self.total_mass
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeGeometry
+from .cone import ConeGeometry, _angle_between
 from .errors import (DeltaTooLargeError, NoIntersectionError,
                      NonConvergenceError, RangeOverflowError, ZeroGradientError)
 from .steplaw import StepLaw
@@ -340,7 +340,7 @@ def point_with_normal(law: StepLaw, q, max_iter: int = 80) -> TiltPoint:
         x = _point_with_normal_bisect(law, q)
     point = tilt_point(law, x[:2])
     qq = normal_direction(law, point)
-    angle_err = math.atan2(abs(qq[0] * q[1] - qq[1] * q[0]), float(qq @ q))
+    angle_err = _angle_between(qq, q)
     if abs(point.value - 1.0) > LEVEL_TOL or angle_err > ANGLE_TOL:
         raise NonConvergenceError(
             f"normal map inverse failed: level residual {point.value - 1.0:.2e}, "

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import ConeGeometry
+from .cone import ConeGeometry, _angle_between
 from .errors import DeltaTooLargeError
 from .harmonic import (HarmonicSpec, build_h, check_positive, classify_spec,
                        cross_exit_bound, free_harmonic_value, spec_for_endpoint)
@@ -101,7 +101,7 @@ def check_normal_map_roundtrip(law: StepLaw, n: int = 64) -> CriterionResult:
         q = np.array([math.cos(t), math.sin(t)])
         p = point_with_normal(law, q)
         qq = normal_direction(law, p)
-        ang = math.atan2(abs(qq[0] * q[1] - qq[1] * q[0]), float(qq @ q))
+        ang = _angle_between(qq, q)
         worst_level = max(worst_level, abs(p.value - 1.0))
         worst_angle = max(worst_angle, ang)
     ok = worst_level <= 1e-10 and worst_angle <= 1e-8

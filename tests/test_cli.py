@@ -97,8 +97,14 @@ atom 0 -1 0.25
         ["harmonic", "--q=-1,-1"],
         ["harmonic", "--q=abc"],
         ["--radius", "20", "martin", "--probes=500,500"],
+        ["harmonic", "--endpoint", "3"],
+        ["harmonic", "--radius", "abc"],
+        ["--radius", "0", "harmonic"],
+        ["--samples", "0", "boundary"],
+        ["--samples", "0", "verify"],
     ], ids=["domain-over-cap", "q-outside-sector", "q-malformed",
-            "probe-off-domain"])
+            "probe-off-domain", "endpoint-invalid-choice", "radius-not-int",
+            "radius-zero", "boundary-samples-zero", "verify-samples-zero"])
     def test_bad_input_exits_3_with_one_line(self, tmp_path, capsys, argv):
         path = write_config(tmp_path, GOOD_CONFIG)
         code = main(["--config", str(path), "--out", str(tmp_path / "out"),
@@ -107,6 +113,12 @@ atom 0 -1 0.25
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("invalid input: ")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: conewalk" in capsys.readouterr().out
 
     def test_boundary_csv(self, tmp_path, law4):
         path = write_config(tmp_path, GOOD_CONFIG)

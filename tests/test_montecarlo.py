@@ -71,7 +71,7 @@ class TestSampling:
     def test_kill_events_recorded_for_substochastic_tilt(self, law4,
                                                          quadrant_cone):
         t = law4.tilt((-0.5, -0.5))
-        assert t.kill_probability > 0.15
+        assert 1.0 - t.total_mass > 0.15
         gen = RngSpec(2, 0).generator()
         which, steps, _ = _simulate_batch(t, quadrant_cone, (30, 30), 10_000,
                                           gen, 500, early_stop=False)
