@@ -390,8 +390,6 @@ def main(argv=None) -> int:
         return 3
     if args.seed is not None:
         cfg.seed = args.seed
-    if not hasattr(args, "box_radius"):
-        args.box_radius = 30
 
     handlers = {
         "validate": cmd_validate,

@@ -295,8 +295,10 @@ def martin_ratio_table(law: StepLaw, cone: ConeGeometry, q, radii,
     (bracket midpoints) next to ``h(probe)/h(z_ref)`` for the harmonic
     function of the tilt with normal ``q``.  Purely exploratory output:
     nothing is asserted, and rows with a vanishing reference Green value
-    are flagged degenerate.
+    are flagged degenerate.  Target radii must be positive.
     """
+    if not all(r > 0 for r in radii):
+        raise ValueError(f"target radii must be positive, got {list(radii)}")
     q = np.asarray(q, dtype=float)
     q = q / np.linalg.norm(q)
     if domain is None:

@@ -6,8 +6,8 @@ the cone inside an infinity-norm box of radius ``R``.  One-step successors
 fall into three classes: interior states (inside cone and box), exit
 points (outside the cone), and far-frontier states (inside the cone but
 beyond the box).  Exit points carry known payoffs; far-frontier states are
-where truncation error enters, and each solve is run twice with certified
-lower and upper substitute values there.
+where truncation error enters: certified lower and upper substitute values
+there make the two columns of one right-hand side, solved together.
 
 The substitute values are built from exact super/subharmonic comparison
 functions, so the resulting brackets are certified, nest as the radius
@@ -19,7 +19,10 @@ grows, and add exactly across the exit-event partition:
 * ``(1/d) exp((a + d f_i - g f_j).y)`` is superharmonic whenever the
   shifted point stays in the unit level set; taking ``g`` as the far
   root (:func:`largest_level_shift`) gives the strongest certified decay
-  for the positive payoff collected through the opposite wall.
+  for the positive payoff collected through the opposite wall;
+* ``exp(c.(y - t)) / (1 - mgf(c))`` bounds the free walk's expected visits
+  to ``t`` from ``y`` whenever ``mgf(c) < 1``, and the killed walk visits
+  ``t`` no more often.
 """
 
 from __future__ import annotations
@@ -37,11 +40,15 @@ import scipy.sparse.linalg as spla
 from .cone import ConeGeometry
 from .errors import DomainSizeError, NoIntersectionError, NonConvergenceError
 from .steplaw import LatticePoint, StepLaw
-from .tiltgeom import (TiltPoint, largest_level_shift, tilt_point,
-                       wall_decay_exponent)
+from .tiltgeom import (TiltPoint, boundary_polyline, interior_minimum,
+                       largest_level_shift, tilt_point, wall_decay_exponent)
 
 #: Default tangential offsets for the opposite-wall truncation bound.
 DEFAULT_DELTA_GRID = (0.5, 0.25, 0.1, 0.05)
+
+#: The Green far bound's exponents: the mgf's interior minimiser ``m`` and
+#: ``m + s (p - m)`` for each shift ``s`` and each of the boundary points ``p``.
+_GREEN_BOUNDARY_POINTS, _GREEN_SHIFTS = 16, (0.5, 0.9)
 
 #: State counts up to this limit use a direct sparse factorisation.
 DIRECT_LIMIT = 200_000
@@ -192,7 +199,7 @@ class TruncatedDomain:
         return self._lu_cache[key]
 
     def solve(self, b: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
-        """Solve ``(I - P_a) x = b`` for ``b`` of shape ``(n,)`` or ``(n, k)``.
+        """Solve ``(I - P_a) x = b`` for ``b`` of shape ``(n, k)``.
 
         Up to ``DIRECT_LIMIT`` states this is a sparse LU solve with one
         step of iterative refinement, on all columns at once.  Above it,
@@ -202,10 +209,10 @@ class TruncatedDomain:
         arena takes resident memory that the calling thread's heap, freed
         by the system set-up, already holds.
         """
+        if b.ndim != 2:
+            raise ValueError(f"right-hand side must have shape (n, k), not {b.shape}")
         A, solver = self._system(a)
         if isinstance(solver, _SweepOperator):
-            if b.ndim == 1:
-                return _gauss_seidel(None, b, solver)
             first, *rest = b.T
             # spsolve_triangular sets its unit diagonal inside
             # warnings.catch_warnings, which is not thread-safe: concurrent
@@ -213,9 +220,9 @@ class TruncatedDomain:
             # the caller's filters after the last column discards it.
             with warnings.catch_warnings(), \
                     ThreadPoolExecutor(max_workers=max(1, len(rest))) as pool:
-                futures = [pool.submit(_gauss_seidel, None, col, solver)
+                futures = [pool.submit(_gauss_seidel, solver, col)
                            for col in rest]
-                x = [_gauss_seidel(None, first, solver)]
+                x = [_gauss_seidel(solver, first)]
                 return np.column_stack(x + [f.result() for f in futures])
         x = solver.solve(b)
         x += solver.solve(b - A @ x)
@@ -251,18 +258,17 @@ class _SweepOperator(NamedTuple):
         return cls(lower, upper.tocsr(), inv_diag)
 
 
-def _gauss_seidel(A: sp.spmatrix | None, b: np.ndarray,
-                  op: _SweepOperator | None = None, tol: float = 1e-13,
+def _gauss_seidel(op: _SweepOperator, b: np.ndarray, tol: float = 1e-13,
                   max_sweeps: int = 100_000) -> np.ndarray:
     """Forward Gauss-Seidel sweeps from zero, with a divergence guard.
 
-    ``op`` is ``A``'s prepared splitting; ``A`` is read only to build it
-    when it is omitted.  A sweep solves ``tril(A) x_new = b - U x_old``,
-    so the residual is ``b - A x_new = U x_old - U x_new``: the one
-    mat-vec ``U x_new`` of a sweep both tests the stop rule and starts
-    the next sweep's right-hand side.
+    ``op`` is the system's prepared splitting.  A sweep solves
+    ``tril(A) x_new = b - U x_old``, so the residual is
+    ``b - A x_new = U x_old - U x_new``: the one mat-vec ``U x_new`` of a
+    sweep both tests the stop rule and starts the next sweep's right-hand
+    side.
     """
-    L, U, inv_diag = _SweepOperator.prepare(A) if op is None else op
+    L, U, inv_diag = op
     x = np.zeros_like(b, dtype=float)
     Ux = np.zeros_like(x)
     scale = max(1.0, float(np.abs(b).max()))
@@ -298,14 +304,14 @@ def build_domain(cone: ConeGeometry, law: StepLaw, radius: int,
 
 @dataclass
 class HarmonicField:
-    """Per-state brackets for a lattice function on a truncated domain."""
+    """Per-state certified brackets ``lo <= hi`` of a lattice function on a
+    truncated domain."""
 
     domain: TruncatedDomain
     kind: str
     a: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    certified: bool = True
 
     @property
     def mid(self) -> np.ndarray:
@@ -440,6 +446,23 @@ def _as_tilt(law: StepLaw, a) -> TiltPoint:
     return point
 
 
+def _bracket_field(domain: TruncatedDomain, kind: str, av: np.ndarray,
+                   b: np.ndarray, w: np.ndarray, far_values,
+                   a: np.ndarray | None = None) -> HarmonicField:
+    """Both brackets of ``(I - P_a) x = b + far`` from one two-column solve:
+    ``far_values(points)`` gives the lower and upper substitute values at
+    the far-frontier successors, which enter with the per-atom weights ``w``."""
+    B = np.column_stack([b, b])
+    src, atom, pts = domain.successors(FAR)
+    if len(src):
+        for col, vals in zip(B.T, far_values(pts)):
+            col += np.bincount(src, weights=w[atom] * vals,
+                               minlength=domain.n_states)
+    lo, hi = domain.solve(B, a).T
+    return HarmonicField(domain=domain, kind=kind, a=av.copy(),
+                         lo=np.minimum(lo, hi), hi=np.maximum(lo, hi))
+
+
 def exit_expectation(law: StepLaw, domain: TruncatedDomain, a,
                      payoff: str = "exp", restriction: str = "all_exits",
                      delta_grid=DEFAULT_DELTA_GRID) -> HarmonicField:
@@ -460,38 +483,22 @@ def exit_expectation(law: StepLaw, domain: TruncatedDomain, a,
     av = point.a
     cone = domain.cone
 
-    b_exit = np.zeros(domain.n_states)
     src, atom, pts = domain.successors(EXIT)
-    if len(pts):
-        g = np.exp(pts @ av)
-        if payoff != "exp":
-            wall = 1 if payoff == "linear_wall1" else 2
-            g = g * (pts.astype(float) @ cone.normal(wall))
-        mask = _restriction_mask(cone, pts, restriction, payoff)
-        b_exit = np.bincount(src, weights=law.probs[atom] * g * mask,
-                             minlength=domain.n_states)
+    g = np.exp(pts @ av)
+    if payoff != "exp":
+        wall = 1 if payoff == "linear_wall1" else 2
+        g = g * (pts.astype(float) @ cone.normal(wall))
+    mask = _restriction_mask(cone, pts, restriction, payoff)
+    b = np.bincount(src, weights=law.probs[atom] * g * mask,
+                    minlength=domain.n_states)
 
-    b_lo = b_exit.copy()
-    b_hi = b_exit.copy()
-    src, atom, pts = domain.successors(FAR)
-    if len(pts):
+    def far_values(pts):
         bounds = FarBounds.build(law, cone, av, payoff, delta_grid)
         pts = pts.astype(float)
-        e_ay = np.exp(pts @ av)
-        fd1 = pts @ cone.f1
-        fd2 = pts @ cone.f2
-        lo_vals, hi_vals = bounds.values(restriction, e_ay, fd1, fd2)
-        w = law.probs[atom]
-        b_lo += np.bincount(src, weights=w * lo_vals,
-                            minlength=domain.n_states)
-        b_hi += np.bincount(src, weights=w * hi_vals,
-                            minlength=domain.n_states)
+        return bounds.values(restriction, np.exp(pts @ av), pts @ cone.f1,
+                             pts @ cone.f2)
 
-    lo, hi = domain.solve(np.column_stack([b_lo, b_hi]), a=None).T
-    kind = {"exp": "exp", "linear_wall1": "linear_wall1",
-            "linear_wall2": "linear_wall2"}[payoff]
-    return HarmonicField(domain=domain, kind=kind, a=av.copy(),
-                         lo=np.minimum(lo, hi), hi=np.maximum(lo, hi))
+    return _bracket_field(domain, payoff, av, b, law.probs, far_values)
 
 
 def survival_probability(law: StepLaw, domain: TruncatedDomain, a) -> HarmonicField:
@@ -507,50 +514,49 @@ def survival_probability(law: StepLaw, domain: TruncatedDomain, a) -> HarmonicFi
     point = _as_tilt(law, a)
     av = point.a
     cone = domain.cone
-    kill = max(0.0, 1.0 - point.value)
-    b_lo = np.full(domain.n_states, kill)
-    b_hi = np.full(domain.n_states, kill)
-    src, atom, pts = domain.successors(FAR)
-    if len(pts):
+
+    def far_values(pts):
         th1 = wall_decay_exponent(law, av, cone.f1)
         th2 = wall_decay_exponent(law, av, cone.f2)
         pts = pts.astype(float)
-        fd1 = pts @ cone.f1
-        fd2 = pts @ cone.f2
-        lo_vals = np.maximum(0.0, 1.0 - np.exp(-th1 * fd1) - np.exp(-th2 * fd2))
-        w = law.tilt(av).weights[atom]
-        b_lo += np.bincount(src, weights=w * lo_vals,
-                            minlength=domain.n_states)
-        b_hi += np.bincount(src, weights=w,
-                            minlength=domain.n_states)
-    lo, hi = np.clip(domain.solve(np.column_stack([b_lo, b_hi]), a=av).T,
-                     0.0, 1.0)
-    return HarmonicField(domain=domain, kind="survival", a=av.copy(),
-                         lo=np.minimum(lo, hi), hi=np.maximum(lo, hi))
+        lo = np.maximum(0.0, 1.0 - np.exp(-th1 * (pts @ cone.f1))
+                        - np.exp(-th2 * (pts @ cone.f2)))
+        return lo, np.ones(len(pts))
+
+    field = _bracket_field(domain, "survival", av,
+                           np.full(domain.n_states, max(0.0, 1.0 - point.value)),
+                           law.tilt(av).weights, far_values, a=av)
+    for v in (field.lo, field.hi):  # clipping is monotone: still ordered
+        np.clip(v, 0.0, 1.0, out=v)
+    return field
+
+
+def _free_green_bound(law: StepLaw, offsets: np.ndarray) -> np.ndarray:
+    """Upper bounds on the free walk's expected visits to ``t`` from each
+    ``t + offset``: ``min_c exp(c.offset) / (1 - mgf(c))``, taken in log
+    space over the grid's exponents ``c`` whose computed mgf is below 1."""
+    m = interior_minimum(law)
+    p = boundary_polyline(law, _GREEN_BOUNDARY_POINTS)[:, :2]
+    c = np.vstack([m] + [m + s * (p - m) for s in _GREEN_SHIFTS])
+    mgf = np.array([law.mgf(ci) for ci in c])
+    keep = mgf < 1.0
+    log_bound = offsets.astype(float) @ c[keep].T - np.log1p(-mgf[keep])
+    return np.exp(log_bound.min(axis=1))
 
 
 def green_column(law: StepLaw, domain: TruncatedDomain, target) -> HarmonicField:
     """Expected visits to ``target`` before leaving the cone, per start state.
 
-    The lower bracket (far frontier worth 0) is certified and grows with
-    the radius.  The upper bracket substitutes the maximum of the lower
-    solution on the far frontier, which is a heuristic: the field is
-    flagged ``certified=False`` and the upper values carry no guarantee.
+    Both brackets are certified.  The lower one counts the far frontier as
+    worth 0 and grows with the radius; the upper one puts the free walk's
+    Green bound (:func:`_free_green_bound`) there, since the killed walk
+    visits ``target`` no more often than the free walk.
     """
     t = domain.index_of(target)
     b = np.zeros(domain.n_states)
     b[t] = 1.0
-    lo = domain.solve(b, a=None)
-    b_hi = b.copy()
-    src, atom, _ = domain.successors(FAR)
-    if len(src):
-        far_value = float(lo.max())
-        b_hi += np.bincount(src, weights=law.probs[atom] * far_value,
-                            minlength=domain.n_states)
-    hi = domain.solve(b_hi, a=None)
-    return HarmonicField(domain=domain, kind="green",
-                         a=np.zeros(2), lo=np.minimum(lo, hi),
-                         hi=np.maximum(lo, hi), certified=False)
+    return _bracket_field(domain, "green", np.zeros(2), b, law.probs, lambda pts: (
+        np.zeros(len(pts)), _free_green_bound(law, pts - domain.states[t])))
 
 
 # -- harmonicity check ------------------------------------------------------

@@ -221,7 +221,7 @@ def _cone_strongly_connected(law: StepLaw, cone: "ConeGeometry",
         if cone.contains((x, y))
     ]
     if not states:
-        return False, None
+        raise ValueError(f"the box of radius {radius} holds no cone lattice point")
     state_set = set(states)
     base = states[0]
     moves = [tuple(int(c) for c in s) for s in law.steps]
@@ -278,7 +278,7 @@ def validate_model(law: StepLaw, cone: "ConeGeometry",
     inward normal, that the projected one-dimensional walk spans its full
     projected lattice.  Irrational normals produce a warning instead of a
     verdict, and the finite box makes the cone check a certificate for
-    the box only, which the report states.
+    the box only, which the report states; an empty box raises ValueError.
     """
     m = law.drift()
     drift_nonzero = bool(np.linalg.norm(m) > 1e-14)

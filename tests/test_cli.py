@@ -102,9 +102,15 @@ atom 0 -1 0.25
         ["--radius", "0", "harmonic"],
         ["--samples", "0", "boundary"],
         ["--samples", "0", "verify"],
+        ["--radius", "20", "martin", "--radii=-5"],
+        ["--radius", "20", "martin", "--radii=0"],
+        ["validate", "--box-radius=-1"],
+        ["validate", "--box-radius=0"],
     ], ids=["domain-over-cap", "q-outside-sector", "q-malformed",
             "probe-off-domain", "endpoint-invalid-choice", "radius-not-int",
-            "radius-zero", "boundary-samples-zero", "verify-samples-zero"])
+            "radius-zero", "boundary-samples-zero", "verify-samples-zero",
+            "martin-radius-negative", "martin-radius-zero",
+            "box-radius-negative", "box-radius-zero"])
     def test_bad_input_exits_3_with_one_line(self, tmp_path, capsys, argv):
         path = write_config(tmp_path, GOOD_CONFIG)
         code = main(["--config", str(path), "--out", str(tmp_path / "out"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import load_config
 from conewalk import (RngSpec, StepLaw, absorption_crosscheck,
                       build_cone_from_angles, local_irreducibility_scan,
                       martin_ratio_table, overshoot_moment, point_with_normal,
@@ -248,6 +249,17 @@ class TestMartinTable:
         h_ratio = picked[0].h_ratio
         errors = [abs(r.green_ratio - h_ratio) for r in picked]
         assert errors[-1] < errors[0]
+
+    def test_quadrant_green_ratio_converges_to_h_ratio(self):
+        # On the quadrant the Martin kernel's convergence is a theorem
+        # (Ignatiouk-Robert and Loree, Ann. Probab. 2010).
+        cfg = load_config("quadrant")
+        rows = martin_ratio_table(cfg.law, cfg.cone, cfg.law.drift(),
+                                  radii=(12, 20, 28), probes=[(1, 1), (1, 3)],
+                                  z_ref=(1, 1), domain_radius=40)
+        picked = [r for r in rows if r.probe == (1, 3)]
+        errors = [abs(r.green_ratio - r.h_ratio) for r in picked]
+        assert errors[0] > errors[1] > errors[2]
 
     def test_direction_near_ray_is_well_formed(self, law4, quadrant_cone):
         q = np.array([0.995, 0.0999])

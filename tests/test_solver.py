@@ -13,8 +13,9 @@ from conewalk import (Bracket, DomainSizeError, StepLaw, build_cone,
                       build_cone_from_angles, build_domain, build_h, exit_expectation, green_column,
                       harmonicity_residual, point_with_normal, solver,
                       spec_for_endpoint, survival_probability, tilt_point)
+from conewalk.cli import _default_probes
 from conewalk.solver import (EXIT, FAR, HarmonicField, _exit_masks,
-                             _gauss_seidel, _SweepOperator)
+                             _free_green_bound, _gauss_seidel, _SweepOperator)
 
 
 def dp_exit_expectation(law, cone, radius, a, payoff_wall=None, iters=4000):
@@ -321,7 +322,9 @@ class TestGreen:
         d = build_domain(quadrant_cone, law4, 12)
         g = green_column(law4, d, (4, 4))
         assert g.bracket((4, 4)).lo >= 1.0 - 1e-12
-        assert not g.certified
+        # The killed walk's upper bracket stays below the free walk's bound.
+        free = _free_green_bound(law4, d.states - np.array([4, 4]))
+        assert np.all(g.hi <= free * (1.0 + 1e-12))
 
     def test_unreachable_target_has_zero_lower_bound(self, quadrant_cone):
         # Diagonal steps preserve the parity of x + y.
@@ -338,6 +341,49 @@ class TestGreen:
         for (x, y) in [(2, 2), (4, 7), (6, 1)]:
             assert g1.bracket((x, y)).lo == pytest.approx(
                 g2.bracket((y, x)).lo, rel=1e-10)
+
+    @staticmethod
+    def _target(d, law, frac):
+        """The state nearest ``frac * R`` along the drift."""
+        q = law.drift() / np.linalg.norm(law.drift())
+        xy = d.states[np.argmin(((d.states - frac * d.radius * q) ** 2).sum(axis=1))]
+        return int(xy[0]), int(xy[1])
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_bracket_is_tight_at_martin_probes(self, model):
+        cfg = load_config(model)
+        d = build_domain(cfg.cone, cfg.law, 40)
+        for frac in (0.3, 0.5, 0.7):
+            g = green_column(cfg.law, d, self._target(d, cfg.law, frac))
+            for probe in _default_probes(cfg, 3):
+                b = g.bracket(probe)
+                assert b.lo > 0.0
+                assert b.width <= 1e-6 * b.lo
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_brackets_nest_from_R_to_2R(self, model):
+        cfg = load_config(model)
+        small = build_domain(cfg.cone, cfg.law, 40)
+        large = build_domain(cfg.cone, cfg.law, 80)
+        target = self._target(small, cfg.law, 0.5)
+        g_small = green_column(cfg.law, small, target)
+        g_large = green_column(cfg.law, large, target)
+        idx = [large.index_of(z) for z in small.states]
+        assert np.all(g_large.lo[idx] <= g_small.hi * (1.0 + 1e-12))
+        assert np.all(g_small.lo <= g_large.lo[idx] * (1.0 + 1e-12))
+
+    def test_one_two_column_solve(self, law4, quadrant_cone, monkeypatch):
+        shapes = []
+        solve = solver.TruncatedDomain.solve
+
+        def counted(self, b, a=None):
+            shapes.append(b.shape)
+            return solve(self, b, a)
+
+        monkeypatch.setattr(solver.TruncatedDomain, "solve", counted)
+        d = build_domain(quadrant_cone, law4, 12)
+        green_column(law4, d, (4, 4))
+        assert shapes == [(d.n_states, 2)]
 
 
 class TestResidual:
@@ -394,7 +440,8 @@ class TestSolvers:
         A, _ = d._system(None)
         b = np.random.default_rng(4).uniform(0.0, 1.0, d.n_states)
         direct = spla.splu(A).solve(b)
-        assert np.allclose(_gauss_seidel(A, b), direct, rtol=1e-11, atol=1e-11)
+        assert np.allclose(_gauss_seidel(_SweepOperator.prepare(A), b), direct,
+                           rtol=1e-11, atol=1e-11)
 
     @staticmethod
     def _unprepared_sweeps(A, b, tol=1e-13):
@@ -427,7 +474,7 @@ class TestSolvers:
 
         # solver reaches the same module attribute through its spla alias.
         monkeypatch.setattr(spla, "spsolve_triangular", counted)
-        swept = _gauss_seidel(A, b)
+        swept = _gauss_seidel(_SweepOperator.prepare(A), b)
         prepared_sweeps = len(calls)
         calls.clear()
         ref = self._unprepared_sweeps(A, b)
@@ -442,7 +489,7 @@ class TestSolvers:
         monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
         d = build_domain(quadrant_cone, law, 30)
         b = np.random.default_rng(8).uniform(0.0, 1.0, d.n_states)
-        x = d.solve(b)
+        x = d.solve(b[:, None])[:, 0]
         # The sweep path keeps only the prepared operator, not A.
         kept, op = d._system(None)
         assert kept is None
@@ -467,10 +514,10 @@ class TestSolvers:
         a = np.array([0.02, -0.01])
         X = d.solve(np.column_stack([b1, b2]), a)
         assert X.shape == (d.n_states, 2)
-        x1 = d.solve(b1, a)
-        assert x1.shape == (d.n_states,)
-        assert np.array_equal(X[:, 0], x1)
-        assert np.array_equal(X[:, 1], d.solve(b2, a))
+        x1 = d.solve(b1[:, None], a)
+        assert x1.shape == (d.n_states, 1)
+        assert np.array_equal(X[:, 0], x1[:, 0])
+        assert np.array_equal(X[:, 1], d.solve(b2[:, None], a)[:, 0])
 
     def test_concurrent_sweeps_share_the_triangle(self, monkeypatch):
         # More columns than cores and a short switch interval: the threads
@@ -482,7 +529,7 @@ class TestSolvers:
         cfg = load_config("cone45")
         d = build_domain(cfg.cone, cfg.law, 30)
         B = np.random.default_rng(10).uniform(0.0, 1.0, (d.n_states, 4))
-        singles = [d.solve(col) for col in B.T]
+        singles = [d.solve(col[:, None])[:, 0] for col in B.T]
         _, op = d._system(None)
         indptr, indices = op.lower.indptr.copy(), op.lower.indices.copy()
         filters = list(warnings.filters)
@@ -500,6 +547,19 @@ class TestSolvers:
         assert np.array_equal(op.lower.indices, indices)
         assert np.all(op.lower.diagonal() == 1.0)
 
+    @pytest.mark.parametrize("path", ["direct", "sweeps"])
+    def test_solve_rejects_1d_rhs(self, path, law4, quadrant_cone,
+                                  monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was made")
+
+        if path == "sweeps":
+            monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
+        monkeypatch.setattr(solver, "ThreadPoolExecutor", no_pool)
+        d = build_domain(quadrant_cone, law4, 12)
+        with pytest.raises(ValueError, match=r"shape \(n, k\)"):
+            d.solve(np.ones(d.n_states))
+
     @pytest.mark.parametrize("failing", [0, 1])
     def test_failed_column_reaches_the_caller(self, failing, monkeypatch):
         from conewalk import NonConvergenceError
@@ -510,10 +570,10 @@ class TestSolvers:
                              np.full(d.n_states, 2.0)])
         sweeps = solver._gauss_seidel
 
-        def flaky(A, b, op=None, **kwargs):
+        def flaky(op, b, **kwargs):
             if b[0] == 1.0 + failing:
                 raise NonConvergenceError("injected")
-            return sweeps(A, b, op, **kwargs)
+            return sweeps(op, b, **kwargs)
 
         monkeypatch.setattr(solver, "_gauss_seidel", flaky)
         with pytest.raises(NonConvergenceError, match="injected"):
@@ -539,7 +599,7 @@ class TestSolvers:
         # A wildly non-diagonally-dominant system makes the sweeps blow up.
         A = sp.csr_matrix(np.array([[1.0, -4.0], [-4.0, 1.0]]))
         with pytest.raises(NonConvergenceError):
-            _gauss_seidel(A, np.ones(2), max_sweeps=50)
+            _gauss_seidel(_SweepOperator.prepare(A), np.ones(2), max_sweeps=50)
 
 
 class TestBracketType:
