@@ -98,7 +98,7 @@ class ConeGeometry:
         """
         pts = np.asarray(points)
         if self._w1 is not None:
-            p = pts.astype(np.int64)
+            p = pts.astype(np.int64, copy=False)
             d1 = p[:, 0] * self._w1[0] + p[:, 1] * self._w1[1]
             d2 = p[:, 0] * self._w2[0] + p[:, 1] * self._w2[1]
             return d1 <= 0, d2 <= 0

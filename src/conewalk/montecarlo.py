@@ -79,6 +79,17 @@ def _escape_distances(law: StepLaw, cone: ConeGeometry,
     return budget / th1, budget / th2
 
 
+def _atom_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The atom each uniform ``u`` picks: the count of ``cum[:-1]`` entries
+    at or below it.  As ``cum`` is nondecreasing, this is
+    ``searchsorted(cum, u, side="right")`` clamped to the last atom, at a
+    few vectorised comparisons per uniform instead of a binary search."""
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for c in cum[:-1]:
+        idx += u >= c
+    return idx
+
+
 def _walk(cum: np.ndarray, steps: np.ndarray, mass: float, z0, n: int,
           horizon: int, rng: np.random.Generator, stop):
     """The sampling kernel: advance ``n`` paths from ``z0`` in blocks.
@@ -101,7 +112,7 @@ def _walk(cum: np.ndarray, steps: np.ndarray, mass: float, z0, n: int,
         live = len(ids)
         k = min(max(1, BUDGET // live), horizon - t)
         u = rng.random((live, k))
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+        idx = _atom_index(cum, u)
         # np.take, and no cumsum over a single step, keep the k = 1 blocks
         # of a large batch as cheap as one plain step.
         path = np.take(steps, idx, axis=0)

@@ -27,6 +27,7 @@ grows, and add exactly across the exit-event partition:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -214,7 +215,8 @@ class TruncatedDomain:
         A, solver = self._system(a)
         if isinstance(solver, _SweepOperator):
             first, *rest = b.T
-            # spsolve_triangular sets its unit diagonal inside
+            # The columns share the read-only triangle.  spsolve_triangular
+            # still calls its setdiag(1), which writes nothing there, inside
             # warnings.catch_warnings, which is not thread-safe: concurrent
             # sweeps can leave a stray "ignore" filter behind.  Restoring
             # the caller's filters after the last column discards it.
@@ -229,16 +231,31 @@ class TruncatedDomain:
         return x
 
 
+class _UnitLower(sp.csc_matrix):
+    """A lower triangle whose stored diagonal is all ones and whose arrays
+    are read-only, so concurrent sweeps can share it.
+
+    ``spsolve_triangular(..., unit_diagonal=True)`` calls ``setdiag(1)`` on
+    the matrix it is given; here that call checks its arguments and
+    writes nothing.
+    """
+
+    def setdiag(self, values, k=0):
+        if k != 0 or not np.all(np.equal(values, 1)):
+            raise ValueError("a unit lower triangle only takes setdiag(1)")
+
+
 class _SweepOperator(NamedTuple):
     """Forward Gauss-Seidel splitting of ``A``, prepared once per system.
 
     ``lower`` is the lower triangle of ``A`` with each column scaled by
-    ``1/diag(A)`` and a unit diagonal (CSC), ``upper`` the strict upper
-    triangle (CSR), ``inv_diag`` is ``1/diag(A)``.  A sweep is then the
-    same arithmetic ``spsolve_triangular`` does on the unscaled triangle.
+    ``1/diag(A)`` and a unit diagonal (a read-only :class:`_UnitLower`),
+    ``upper`` the strict upper triangle (CSR), ``inv_diag`` is
+    ``1/diag(A)``.  A sweep is then the same arithmetic
+    ``spsolve_triangular`` does on the unscaled triangle.
     """
 
-    lower: sp.csc_matrix
+    lower: _UnitLower
     upper: sp.csr_matrix
     inv_diag: np.ndarray
 
@@ -250,9 +267,14 @@ class _SweepOperator(NamedTuple):
         low = A.indices >= np.repeat(np.arange(A.shape[1], dtype=A.indices.dtype),
                                      np.diff(A.indptr))
         kept = np.searchsorted(np.flatnonzero(low), A.indptr)
-        lower = sp.csc_matrix((A.data[low], A.indices[low], kept), shape=A.shape)
+        lower = _UnitLower((A.data[low], A.indices[low], kept), shape=A.shape)
         lower.data *= np.repeat(inv_diag, np.diff(lower.indptr))
-        lower.setdiag(1.0)
+        sp.csc_matrix.setdiag(lower, 1.0)  # the one write to the diagonal
+        # Caches has_canonical_format, so the sum_duplicates() that every
+        # sweep calls returns at once and never writes.
+        lower.sum_duplicates()
+        for arr in (lower.data, lower.indices, lower.indptr):
+            arr.setflags(write=False)
         upper = sp.csc_matrix((A.data[~low], A.indices[~low], A.indptr - kept),
                               shape=A.shape)
         return cls(lower, upper.tocsr(), inv_diag)
@@ -274,10 +296,6 @@ def _gauss_seidel(op: _SweepOperator, b: np.ndarray, tol: float = 1e-13,
     scale = max(1.0, float(np.abs(b).max()))
     best = math.inf
     for _ in range(max_sweeps):
-        # overwrite_A lets spsolve_triangular call setdiag(1) on the shared
-        # triangle in place.  prepare stores every diagonal entry as 1.0,
-        # so concurrent sweeps only rewrite equal values into existing
-        # slots and the sparsity structure never changes.
         x = spla.spsolve_triangular(L, b - Ux, lower=True, overwrite_A=True,
                                     overwrite_b=True, unit_diagonal=True)
         x *= inv_diag
@@ -531,16 +549,28 @@ def survival_probability(law: StepLaw, domain: TruncatedDomain, a) -> HarmonicFi
     return field
 
 
-def _free_green_bound(law: StepLaw, offsets: np.ndarray) -> np.ndarray:
-    """Upper bounds on the free walk's expected visits to ``t`` from each
-    ``t + offset``: ``min_c exp(c.offset) / (1 - mgf(c))``, taken in log
-    space over the grid's exponents ``c`` whose computed mgf is below 1."""
+@functools.lru_cache(maxsize=16)
+def _green_exponents(atoms: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The Green bound's exponents ``c`` whose computed mgf is below 1, and
+    their ``log(1 - mgf(c))``, for the law with these sorted atoms."""
+    law = StepLaw(dict(atoms))
     m = interior_minimum(law)
     p = boundary_polyline(law, _GREEN_BOUNDARY_POINTS)[:, :2]
     c = np.vstack([m] + [m + s * (p - m) for s in _GREEN_SHIFTS])
     mgf = np.array([law.mgf(ci) for ci in c])
     keep = mgf < 1.0
-    log_bound = offsets.astype(float) @ c[keep].T - np.log1p(-mgf[keep])
+    grid = c[keep], np.log1p(-mgf[keep])
+    for arr in grid:  # shared by every later call on the same law
+        arr.setflags(write=False)
+    return grid
+
+
+def _free_green_bound(law: StepLaw, offsets: np.ndarray) -> np.ndarray:
+    """Upper bounds on the free walk's expected visits to ``t`` from each
+    ``t + offset``: ``min_c exp(c.offset) / (1 - mgf(c))``, taken in log
+    space over the grid's exponents ``c`` whose computed mgf is below 1."""
+    c, log_gap = _green_exponents(tuple(sorted(law.atoms.items())))
+    log_bound = offsets.astype(float) @ c.T - log_gap
     return np.exp(log_bound.min(axis=1))
 
 

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_config
 from conewalk import (RngSpec, StepLaw, absorption_crosscheck,
                       build_cone_from_angles, local_irreducibility_scan,
                       martin_ratio_table, overshoot_moment, point_with_normal,
                       sample_exit)
-from conewalk.montecarlo import _simulate_batch
+from conewalk.montecarlo import _atom_index, _simulate_batch
 
 
 def finite_horizon_exit_probability(law, cone, a, z0, horizon):
@@ -115,6 +117,38 @@ class TestSampling:
         fractions = [float(((which > 0) & (steps <= h)).sum()) / 5000
                      for h in (10, 50, 200, 2000)]
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
+
+
+@st.composite
+def atom_cumulatives(draw):
+    """Cumulative weights of a law with 3-6 atoms: plain, or tilted and
+    scaled to a total mass below 1, as a substochastic tilt is sampled."""
+    steps = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                          min_size=3, max_size=6, unique=True))
+    mass = draw(st.lists(st.integers(1, 9), min_size=len(steps),
+                         max_size=len(steps)))
+    law = StepLaw({z: m / sum(mass) for z, m in zip(steps, mass)})
+    if not draw(st.booleans()):
+        return np.cumsum(law.probs)
+    tilted = law.tilt(draw(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))))
+    kept = draw(st.floats(0.05, 0.999))
+    return np.cumsum(tilted.weights * (kept / tilted.total_mass))
+
+
+class TestAtomIndex:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(atom_cumulatives(), st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                        max_size=20))
+    def test_matches_clamped_searchsorted(self, cum, drawn):
+        # 0, every cumulative weight exactly, its neighbours, and values at
+        # and beyond the total mass, where the last atom is the clamp.
+        edges = np.concatenate([cum, np.nextafter(cum, -np.inf),
+                                np.nextafter(cum, np.inf)])
+        u = np.concatenate([[0.0, 1.0 - 2.0 ** -53, 1.5], edges, drawn])
+        ref = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+        assert np.array_equal(_atom_index(cum, u), ref)
+        block = u[: len(u) // 2 * 2].reshape(-1, 2)
+        assert np.array_equal(_atom_index(cum, block), ref[: block.size].reshape(-1, 2))
 
 
 class TestBlockBoundaries:

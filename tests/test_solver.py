@@ -15,7 +15,8 @@ from conewalk import (Bracket, DomainSizeError, StepLaw, build_cone,
                       spec_for_endpoint, survival_probability, tilt_point)
 from conewalk.cli import _default_probes
 from conewalk.solver import (EXIT, FAR, HarmonicField, _exit_masks,
-                             _free_green_bound, _gauss_seidel, _SweepOperator)
+                             _free_green_bound, _gauss_seidel, _SweepOperator,
+                             _UnitLower)
 
 
 def dp_exit_expectation(law, cone, radius, a, payoff_wall=None, iters=4000):
@@ -521,8 +522,8 @@ class TestSolvers:
 
     def test_concurrent_sweeps_share_the_triangle(self, monkeypatch):
         # More columns than cores and a short switch interval: the threads
-        # interleave inside the shared triangle's setdiag, which must only
-        # rewrite stored ones and leave its structure alone.
+        # interleave inside spsolve_triangular on the shared triangle, which
+        # nobody may write.
         import sys
         import warnings
         monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
@@ -532,6 +533,7 @@ class TestSolvers:
         singles = [d.solve(col[:, None])[:, 0] for col in B.T]
         _, op = d._system(None)
         indptr, indices = op.lower.indptr.copy(), op.lower.indices.copy()
+        data = op.lower.data.tobytes()
         filters = list(warnings.filters)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -545,7 +547,24 @@ class TestSolvers:
             assert np.array_equal(X[:, k], x)
         assert np.array_equal(op.lower.indptr, indptr)
         assert np.array_equal(op.lower.indices, indices)
+        assert op.lower.data.tobytes() == data
         assert np.all(op.lower.diagonal() == 1.0)
+        for arr in (op.lower.data, op.lower.indices, op.lower.indptr):
+            assert not arr.flags.writeable
+
+    def test_unit_lower_only_takes_setdiag_1(self, law4, quadrant_cone):
+        d = build_domain(quadrant_cone, law4, 12)
+        A = (sp.identity(d.n_states, format="csr")
+             - d.transition_matrix(None)).tocsc()
+        lower = _SweepOperator.prepare(A).lower
+        assert isinstance(lower, _UnitLower)
+        data = lower.data.tobytes()
+        with pytest.raises(ValueError):
+            lower.setdiag(2.0)
+        with pytest.raises(ValueError):
+            lower.setdiag(1, k=1)
+        lower.setdiag(1)
+        assert lower.data.tobytes() == data
 
     @pytest.mark.parametrize("path", ["direct", "sweeps"])
     def test_solve_rejects_1d_rhs(self, path, law4, quadrant_cone,
