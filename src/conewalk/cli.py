@@ -14,6 +14,7 @@ non-convergence, 3 I/O, config or input errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -144,18 +145,12 @@ def _open_csv(path: Path, cfg: ModelConfig, comments: list[str],
 
 def _write_csv(path: Path, cfg: ModelConfig, comments: list[str],
                header: list[str], rows) -> None:
+    """Floats (np.float64 too) print with %.17g, anything else with str; a
+    field holding a comma, quote or newline is quoted as ``csv`` reads it."""
     with _open_csv(path, cfg, comments, header) as fh:
-        # Floats (np.float64 too) print with %.17g, anything else with str.
-        # One format serves each run of rows with the same value types, so
-        # no value is ever printed by a format made for another type.
-        types = fmt = None
-        for row in rows:
-            row = tuple(row)
-            if tuple(map(type, row)) != types:
-                types = tuple(map(type, row))
-                fmt = ",".join("%.17g" if issubclass(t, float) else "%s"
-                               for t in types) + "\n"
-            fh.write(fmt % row)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerows([("%.17g" % v) if isinstance(v, float) else str(v)
+                          for v in row] for row in rows)
 
 
 def _harmonic_rows(h):
@@ -223,7 +218,7 @@ def cmd_harmonic(cfg: ModelConfig, args) -> int:
     else:
         spec = spec_for_direction(cfg.law, cfg.cone, cfg.law.drift())
     h = build_h(spec, domain)
-    residual = harmonicity_residual(h, cfg.law, domain)
+    residual = harmonicity_residual(h)
     positivity = check_positive(h)
     scale = np.exp(-(domain.states.astype(float) @ spec.tilt.a))
     max_scaled_width = float((h.width * scale).max())
@@ -273,8 +268,8 @@ def cmd_martin(cfg: ModelConfig, args) -> int:
     else:
         probes = _default_probes(cfg, 3)
     z_ref = probes[0]
-    rows = martin_ratio_table(cfg.law, cfg.cone, q, radii, probes, z_ref,
-                              domain_radius=radius)
+    rows = martin_ratio_table(build_domain(cfg.cone, cfg.law, radius), q,
+                              radii, probes, z_ref)
     out = _out_dir(args) / f"{cfg.name}_martin.csv"
     _write_csv(out, cfg, [f"reference state {z_ref}"],
                ["r", "target_x", "target_y", "probe_x", "probe_y",

@@ -101,30 +101,39 @@ def spec_for_endpoint(law: StepLaw, cone: ConeGeometry, wall: int) -> HarmonicSp
     return classify_spec(law, cone, point_with_normal(law, cone.ray(wall)))
 
 
-def build_h(spec: HarmonicSpec, domain: TruncatedDomain,
-            delta_grid=DEFAULT_DELTA_GRID) -> HarmonicField:
-    """Assemble the harmonic function's brackets on a truncated domain.
-
-    Subtracting the exit expectation flips the bracket: the lower bound on
-    ``h`` uses the upper exit bracket and vice versa.  Outside the cone
-    the function is 0 by convention; the field only stores interior states.
-    """
+def _check_model(spec: HarmonicSpec, domain: TruncatedDomain) -> None:
+    """Raise ``ValueError`` unless ``domain`` was built for the spec's law
+    and cone, whose tilt would otherwise be paired with another walk."""
+    if spec.law != domain.law:
+        raise ValueError("domain was built for a different step law")
     same_cone = domain.cone is spec.cone or (
         np.allclose(domain.cone.f1, spec.cone.f1)
         and np.allclose(domain.cone.f2, spec.cone.f2))
     if not same_cone:
         raise ValueError("domain was built for a different cone")
+
+
+def build_h(spec: HarmonicSpec, domain: TruncatedDomain,
+            delta_grid=DEFAULT_DELTA_GRID) -> HarmonicField:
+    """Assemble the harmonic function's brackets on a truncated domain,
+    which must have been built for the spec's law and cone.
+
+    Subtracting the exit expectation flips the bracket: the lower bound on
+    ``h`` uses the upper exit bracket and vice versa.  Outside the cone
+    the function is 0 by convention; the field only stores interior states.
+    """
+    _check_model(spec, domain)
     av = spec.tilt.a
     z = domain.states.astype(float)
     e_az = np.exp(z @ av)
     if spec.wall is None:
-        u = exit_expectation(spec.law, domain, spec.tilt, payoff="exp",
+        u = exit_expectation(domain, spec.tilt, payoff="exp",
                              restriction="all_exits", delta_grid=delta_grid)
         lead = e_az
         kind = "harmonic_interior"
     else:
         payoff = f"linear_wall{spec.wall}"
-        u = exit_expectation(spec.law, domain, spec.tilt, payoff=payoff,
+        u = exit_expectation(domain, spec.tilt, payoff=payoff,
                              restriction="all_exits", delta_grid=delta_grid)
         lead = (z @ spec.cone.normal(spec.wall)) * e_az
         kind = f"harmonic_wall{spec.wall}"
@@ -204,14 +213,12 @@ class CrossExitBound:
     eps: float
     delta: float
 
-    def holds(self, slack: float = 1e-10) -> bool:
-        return self.term.hi <= self.bound + slack
-
 
 def cross_exit_bound(spec: HarmonicSpec, domain: TruncatedDomain, z,
                      delta: float,
                      delta_grid=DEFAULT_DELTA_GRID) -> CrossExitBound:
-    """Bound the payoff collected through the opposite wall.
+    """Bound the payoff collected through the opposite wall, on a domain
+    built for the spec's law and cone.
 
     For the endpoint branch at wall ``i``, the contribution
     ``E_z[(f_i.S) exp(a.(S - z)); exit through wall j first]`` satisfies
@@ -226,14 +233,14 @@ def cross_exit_bound(spec: HarmonicSpec, domain: TruncatedDomain, z,
         raise ValueError("cross-exit bound needs an endpoint-branch spec")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
+    _check_model(spec, domain)
     i = spec.wall
     j = 3 - i
     f_i = spec.cone.normal(i)
     f_j = spec.cone.normal(j)
     eps = epsilon_for_delta(spec.law, spec.tilt, delta, f_i, f_j)
     grid = tuple(delta_grid) + (delta,)
-    u = exit_expectation(spec.law, domain, spec.tilt,
-                         payoff=f"linear_wall{i}",
+    u = exit_expectation(domain, spec.tilt, payoff=f"linear_wall{i}",
                          restriction=f"only_wall{j}_first",
                          delta_grid=grid)
     b = u.bracket(z)

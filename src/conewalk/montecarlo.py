@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import ConeGeometry
-from .solver import Bracket, TruncatedDomain, build_domain, exit_expectation, green_column
+from .solver import Bracket, TruncatedDomain, exit_expectation, green_column
 from .steplaw import LatticePoint, StepLaw, TiltedLaw
 from .tiltgeom import (TiltPoint, point_with_normal, tilt_point,
                        wall_decay_exponent)
@@ -203,23 +203,20 @@ class AbsorptionCheck:
         return self.upper_ok and self.lower_ok
 
 
-def absorption_crosscheck(law: StepLaw, cone: ConeGeometry, a, z0,
-                          horizon: int, n: int, rng: RngSpec,
-                          domain: TruncatedDomain | None = None,
-                          radius: int = 100) -> AbsorptionCheck:
-    """Check ``E_z[exp(a.(S - z)) at exit] = P(tilted walk ever exits)``.
+def absorption_crosscheck(domain: TruncatedDomain, a, z0, horizon: int,
+                          n: int, rng: RngSpec) -> AbsorptionCheck:
+    """Check ``E_z[exp(a.(S - z)) at exit] = P(tilted walk ever exits)``
+    for the walk with the domain's law, killed outside the domain's cone.
 
-    The left side comes from the solver's certified bracket, scaled by
-    ``exp(-a.z)``; the right side is the simulated absorption frequency of
-    the tilted walk.  The simulation estimates ``P(exit by horizon)``, a
-    lower stream, so the truncated fraction enters the lower comparison as
-    a one-sided bias allowance.
+    The left side comes from the solver's certified bracket on ``domain``,
+    scaled by ``exp(-a.z)``; the right side is the simulated absorption
+    frequency of the tilted walk.  The simulation estimates
+    ``P(exit by horizon)``, a lower stream, so the truncated fraction
+    enters the lower comparison as a one-sided bias allowance.
     """
+    law, cone = domain.law, domain.cone
     point = a if isinstance(a, TiltPoint) else tilt_point(law, a)
-    if domain is None:
-        domain = build_domain(cone, law, radius)
-    u = exit_expectation(law, domain, point, payoff="exp",
-                         restriction="all_exits")
+    u = exit_expectation(domain, point, payoff="exp", restriction="all_exits")
     b = u.bracket(z0)
     scale = math.exp(-float(point.a @ np.asarray(z0, dtype=float)))
     bracket = Bracket(b.lo * scale, b.hi * scale)
@@ -296,12 +293,12 @@ class MartinRow:
     degenerate: bool
 
 
-def martin_ratio_table(law: StepLaw, cone: ConeGeometry, q, radii,
-                       probes, z_ref, domain_radius: int,
-                       domain: TruncatedDomain | None = None) -> list[MartinRow]:
-    """Green-kernel ratios along a direction against harmonic-function ratios.
+def martin_ratio_table(domain: TruncatedDomain, q, radii, probes,
+                       z_ref) -> list[MartinRow]:
+    """Green-kernel ratios along a direction against harmonic-function ratios,
+    for the walk with the domain's law, killed outside the domain's cone.
 
-    For each radius ``r`` the target is the interior lattice point nearest
+    For each radius ``r`` the target is the domain state nearest
     ``r*q``; the table reports ``G(probe, target)/G(z_ref, target)``
     (bracket midpoints) next to ``h(probe)/h(z_ref)`` for the harmonic
     function of the tilt with normal ``q``.  Purely exploratory output:
@@ -312,12 +309,11 @@ def martin_ratio_table(law: StepLaw, cone: ConeGeometry, q, radii,
         raise ValueError(f"target radii must be positive, got {list(radii)}")
     q = np.asarray(q, dtype=float)
     q = q / np.linalg.norm(q)
-    if domain is None:
-        domain = build_domain(cone, law, domain_radius)
     for p in list(probes) + [tuple(z_ref)]:
         domain.index_of(p)
 
-    spec = classify_spec(law, cone, point_with_normal(law, q))
+    law = domain.law
+    spec = classify_spec(law, domain.cone, point_with_normal(law, q))
     h = build_h(spec, domain)
     h_mid = h.mid
     i_ref = domain.index_of(z_ref)
@@ -329,7 +325,7 @@ def martin_ratio_table(law: StepLaw, cone: ConeGeometry, q, radii,
         d2 = ((states - target_xy) ** 2).sum(axis=1)
         t = int(np.argmin(d2))
         target = (int(states[t, 0]), int(states[t, 1]))
-        g = green_column(law, domain, target)
+        g = green_column(domain, target)
         g_mid = g.mid
         ref_val = float(g_mid[i_ref])
         degenerate = not (ref_val > 0.0) or not math.isfinite(ref_val)

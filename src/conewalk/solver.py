@@ -481,10 +481,11 @@ def _bracket_field(domain: TruncatedDomain, kind: str, av: np.ndarray,
                          lo=np.minimum(lo, hi), hi=np.maximum(lo, hi))
 
 
-def exit_expectation(law: StepLaw, domain: TruncatedDomain, a,
-                     payoff: str = "exp", restriction: str = "all_exits",
+def exit_expectation(domain: TruncatedDomain, a, payoff: str = "exp",
+                     restriction: str = "all_exits",
                      delta_grid=DEFAULT_DELTA_GRID) -> HarmonicField:
-    """Bracket ``E_z[g(S at exit); exit happens]`` for every domain state.
+    """Bracket ``E_z[g(S at exit); exit happens]`` for every domain state,
+    for the walk with the domain's law, killed outside the domain's cone.
 
     ``payoff`` selects ``g``: ``exp`` is ``exp(a.y)``; ``linear_wall1`` and
     ``linear_wall2`` are ``(f_i.y) exp(a.y)``.  ``restriction`` keeps only
@@ -497,9 +498,9 @@ def exit_expectation(law: StepLaw, domain: TruncatedDomain, a,
         raise ValueError(f"unknown payoff {payoff!r}")
     if restriction not in RESTRICTIONS:
         raise ValueError(f"unknown restriction {restriction!r}")
+    law, cone = domain.law, domain.cone
     point = _as_tilt(law, a)
     av = point.a
-    cone = domain.cone
 
     src, atom, pts = domain.successors(EXIT)
     g = np.exp(pts @ av)
@@ -519,19 +520,19 @@ def exit_expectation(law: StepLaw, domain: TruncatedDomain, a,
     return _bracket_field(domain, payoff, av, b, law.probs, far_values)
 
 
-def survival_probability(law: StepLaw, domain: TruncatedDomain, a) -> HarmonicField:
+def survival_probability(domain: TruncatedDomain, a) -> HarmonicField:
     """Bracket the probability that the tilted walk never leaves the cone.
 
-    The walk tilted by ``a`` moves with substochastic weights
-    ``p(w) exp(a.w)``; the per-step mass deficit acts as a kill event and
-    killed paths never exit.  Lower substitute on the far frontier comes
-    from the wall decay exponents (survival from ``y`` is at least
-    ``1 - sum_i exp(-theta_i f_i.y)``); the upper substitute is the
-    trivial bound 1.
+    The walk has the domain's law, tilted by ``a``: it moves with
+    substochastic weights ``p(w) exp(a.w)``; the per-step mass deficit
+    acts as a kill event and killed paths never exit.  Lower substitute
+    on the far frontier comes from the wall decay exponents (survival
+    from ``y`` is at least ``1 - sum_i exp(-theta_i f_i.y)``); the upper
+    substitute is the trivial bound 1.
     """
+    law, cone = domain.law, domain.cone
     point = _as_tilt(law, a)
     av = point.a
-    cone = domain.cone
 
     def far_values(pts):
         th1 = wall_decay_exponent(law, av, cone.f1)
@@ -574,14 +575,16 @@ def _free_green_bound(law: StepLaw, offsets: np.ndarray) -> np.ndarray:
     return np.exp(log_bound.min(axis=1))
 
 
-def green_column(law: StepLaw, domain: TruncatedDomain, target) -> HarmonicField:
-    """Expected visits to ``target`` before leaving the cone, per start state.
+def green_column(domain: TruncatedDomain, target) -> HarmonicField:
+    """Expected visits to ``target`` before the walk with the domain's law
+    leaves the domain's cone, per start state.
 
     Both brackets are certified.  The lower one counts the far frontier as
     worth 0 and grows with the radius; the upper one puts the free walk's
     Green bound (:func:`_free_green_bound`) there, since the killed walk
     visits ``target`` no more often than the free walk.
     """
+    law = domain.law
     t = domain.index_of(target)
     b = np.zeros(domain.n_states)
     b[t] = 1.0
@@ -597,7 +600,6 @@ class ResidualReport:
     """One-step harmonicity residuals of a field, over fully interior states."""
 
     n_evaluated: int
-    max_abs_value: float
     max_residual: float
     relative_excess: float
     worst_state: LatticePoint | None
@@ -607,34 +609,35 @@ class ResidualReport:
         return self.relative_excess <= rel_tol
 
 
-def harmonicity_residual(h: HarmonicField, law: StepLaw,
-                         domain: TruncatedDomain) -> ResidualReport:
-    """Residual ``h(z) - sum_{y in cone} p(y-z) h(y)`` at eligible states.
+def harmonicity_residual(h: HarmonicField) -> ResidualReport:
+    """Residual ``h(z) - sum_{y in cone} p(y-z) h(y)`` at eligible states
+    of ``h``'s domain, under the domain's law.
 
     Eligible states are those whose full one-step neighbourhood stays in
     interior or exit points (the function is 0 outside the cone, so exit
     neighbours drop out).  Midpoints are used, and half of the combined
     bracket width at each state is granted as slack before a residual is
-    counted as excess; ``relative_excess`` is the worst residual beyond
-    that slack, relative to the largest field magnitude.
+    counted as excess.  ``relative_excess`` is the worst residual beyond
+    that slack, each relative to its own state's scale
+    ``|h(z)| + sum_y p(y-z) |h(y)|``, so a wrong value at any one state
+    shows however small it is against the field's largest.
     """
+    domain = h.domain
     P = domain.transition_matrix(None)
     eligible = ~(domain.succ == FAR).any(axis=1)
-    mid = h.mid
-    width = h.width
-    r = mid - P @ mid
-    allow = 0.5 * width + 0.5 * (P @ width)
     if not eligible.any():
-        return ResidualReport(0, 0.0, 0.0, 0.0, None)
-    max_abs = float(np.abs(mid[eligible]).max())
-    scale = max(max_abs, 1e-300)
-    excess = (np.abs(r) - allow) / scale
+        return ResidualReport(0, 0.0, 0.0, None)
+    mid, width = h.mid, h.width
+    res = np.abs(mid - P @ mid)
+    excess = res - 0.5 * (width + P @ width)
+    scale = np.abs(mid, out=width)  # width is spent; its buffer is reused
+    scale += P @ scale
+    excess /= np.maximum(scale, 1e-300, out=scale)
     excess[~eligible] = -math.inf
     worst = int(np.argmax(excess))
     return ResidualReport(
         n_evaluated=int(eligible.sum()),
-        max_abs_value=max_abs,
-        max_residual=float(np.abs(r[eligible]).max()),
+        max_residual=float(res[eligible].max()),
         relative_excess=float(excess[worst]),
         worst_state=(int(domain.states[worst, 0]), int(domain.states[worst, 1])),
     )

@@ -1,9 +1,9 @@
 """Property suite behind ``conewalk verify``.
 
-Each check returns a :class:`CriterionResult`; the suite is also driven
-directly by the test suite, which runs it on the three bundled models.
-Domains and factorizations are shared across checks where the radius
-matches, so a full run stays within a few minutes per model.
+Each check returns a :class:`CriterionResult`, and a check given a domain
+reads the law and cone from it.  The test suite runs the suite on the
+three bundled models.  Domains and factorizations are shared across
+checks where the radius matches, so a run takes seconds per model.
 """
 
 from __future__ import annotations
@@ -126,11 +126,10 @@ def check_free_harmonic(law: StepLaw, seed: int, n: int = 100) -> CriterionResul
                            f"max tolerance excess {worst:.2e}", time.time() - t0)
 
 
-def check_absorption_identity(law: StepLaw, cone: ConeGeometry,
-                              domain: TruncatedDomain, seed: int,
+def check_absorption_identity(domain: TruncatedDomain, seed: int,
                               mc_samples: int, horizon: int) -> CriterionResult:
     t0 = time.time()
-    tilts = _suite_tilts(law, cone)
+    tilts = _suite_tilts(domain.law, domain.cone)
     states = domain.states.astype(float)
     worst_gap = -math.inf
     mc_notes = []
@@ -139,17 +138,16 @@ def check_absorption_identity(law: StepLaw, cone: ConeGeometry,
     probe = _interior_probe(domain)
     mc_targets = {"zero", "interior_1"}
     for stream, (name, point) in enumerate(tilts):
-        u = exit_expectation(law, domain, point)
-        s = survival_probability(law, domain, point)
+        u = exit_expectation(domain, point)
+        s = survival_probability(domain, point)
         scale = np.exp(-(states @ point.a))
         lo_u = u.lo * scale
         hi_u = u.hi * scale
         gap = np.maximum(lo_u - (1.0 - s.lo), (1.0 - s.hi) - hi_u).max()
         worst_gap = max(worst_gap, float(gap))
         if name in mc_targets:
-            chk = absorption_crosscheck(law, cone, point, probe, horizon,
-                                        mc_samples, RngSpec(seed, stream),
-                                        domain=domain)
+            chk = absorption_crosscheck(domain, point, probe, horizon,
+                                        mc_samples, RngSpec(seed, stream))
             mc_ok = mc_ok and chk.consistent
             mc_notes.append(f"{name}: mc {chk.mc_mean:.4f}+-{chk.mc_stderr:.4f} "
                             f"vs [{chk.bracket.lo:.4f},{chk.bracket.hi:.4f}]")
@@ -163,28 +161,26 @@ def check_absorption_identity(law: StepLaw, cone: ConeGeometry,
                            time.time() - t0, extras={"mc_rows": mc_rows})
 
 
-def check_harmonicity(law: StepLaw, cone: ConeGeometry,
-                      domain: TruncatedDomain) -> CriterionResult:
+def check_harmonicity(domain: TruncatedDomain) -> CriterionResult:
     t0 = time.time()
     details = []
     ok = True
-    for spec in _specs(law, cone):
+    for spec in _specs(domain.law, domain.cone):
         h = build_h(spec, domain)
-        rep = harmonicity_residual(h, law, domain)
+        rep = harmonicity_residual(h)
         ok = ok and rep.within(1e-8)
         details.append(f"{spec.branch}: excess {rep.relative_excess:.2e}")
     return CriterionResult(4, "one-step harmonicity", ok, "; ".join(details),
                            time.time() - t0)
 
 
-def check_positivity_refinement(law: StepLaw, cone: ConeGeometry,
-                                d_small: TruncatedDomain,
+def check_positivity_refinement(d_small: TruncatedDomain,
                                 d_large: TruncatedDomain) -> CriterionResult:
     t0 = time.time()
     idx_large = np.array([d_large.index_of(z) for z in d_small.states])
     details = []
     ok = True
-    for spec in _specs(law, cone):
+    for spec in _specs(d_small.law, d_small.cone):
         h_small = build_h(spec, d_small)
         h_large = build_h(spec, d_large)
         neg = (check_positive(h_small).n_certified_negative
@@ -232,9 +228,9 @@ def check_quadrant_reference(law: StepLaw, cone: ConeGeometry,
                            f"max deviation {worst:.2e}", time.time() - t0)
 
 
-def check_endpoint_survival_decay(law: StepLaw, cone: ConeGeometry,
-                                  d100: TruncatedDomain) -> CriterionResult:
+def check_endpoint_survival_decay(d100: TruncatedDomain) -> CriterionResult:
     t0 = time.time()
+    law, cone = d100.law, d100.cone
     details = []
     ok = True
     for wall in (1, 2):
@@ -243,7 +239,7 @@ def check_endpoint_survival_decay(law: StepLaw, cone: ConeGeometry,
         uppers = []
         for r in (50, 100, 200):
             domain = d100 if r == d100.radius else build_domain(cone, law, r)
-            s = survival_probability(law, domain, point)
+            s = survival_probability(domain, point)
             uppers.append(s.bracket(probe).hi)
         decreasing = all(a > b for a, b in zip(uppers, uppers[1:]))
         small = uppers[-1] <= 0.1
@@ -281,8 +277,7 @@ def check_cross_exit_bound(law: StepLaw, cone: ConeGeometry, seed: int,
                            f"max excess over bound {worst:.2e}", time.time() - t0)
 
 
-def check_bracket_invariants(law: StepLaw, cone: ConeGeometry,
-                             d_small: TruncatedDomain,
+def check_bracket_invariants(d_small: TruncatedDomain,
                              d_large: TruncatedDomain) -> CriterionResult:
     t0 = time.time()
     idx_large = np.array([d_large.index_of(z) for z in d_small.states])
@@ -290,23 +285,23 @@ def check_bracket_invariants(law: StepLaw, cone: ConeGeometry,
     comp_worst = 0.0
     add_worst = 0.0
     single_wall_worst = -math.inf
-    for name, point in _suite_tilts(law, cone):
+    for name, point in _suite_tilts(d_small.law, d_small.cone):
         scale_s = np.exp(-(d_small.states.astype(float) @ point.a))
         scale_l = np.exp(-(d_large.states.astype(float) @ point.a))
-        u_s = exit_expectation(law, d_small, point)
-        u_l = exit_expectation(law, d_large, point)
+        u_s = exit_expectation(d_small, point)
+        u_l = exit_expectation(d_large, point)
         # Nesting is checked on the exp(-a.z)-scaled values, which live
         # in [0, 1]; unscaled values span hundreds of orders of magnitude.
         nest_worst = max(
             nest_worst,
             float((u_s.lo * scale_s - (u_l.lo * scale_l)[idx_large]).max()),
             float(((u_l.hi * scale_l)[idx_large] - u_s.hi * scale_s).max()))
-        s = survival_probability(law, d_small, point)
+        s = survival_probability(d_small, point)
         comp_worst = max(comp_worst,
                          float(np.abs(s.lo + u_s.hi * scale_s - 1.0).max()),
                          float(np.abs(s.hi + u_s.lo * scale_s - 1.0).max()))
-        u1 = exit_expectation(law, d_small, point, restriction="only_wall1_first")
-        u2 = exit_expectation(law, d_small, point, restriction="only_wall2_first")
+        u1 = exit_expectation(d_small, point, restriction="only_wall1_first")
+        u2 = exit_expectation(d_small, point, restriction="only_wall2_first")
         # The exit buckets partition: lower substitutes add exactly, and
         # the summed bucket brackets must contain the all-exits bracket.
         add_worst = max(
@@ -351,14 +346,13 @@ def run_model_suite(cfg, mc_samples: int = 100_000,
     ]
     d100 = build_domain(cone, law, 100)
     d150 = build_domain(cone, law, 150)
-    results.append(check_absorption_identity(law, cone, d100, seed,
-                                             mc_samples, horizon))
-    results.append(check_harmonicity(law, cone, d150))
-    results.append(check_positivity_refinement(law, cone, d100, d150))
+    results.append(check_absorption_identity(d100, seed, mc_samples, horizon))
+    results.append(check_harmonicity(d150))
+    results.append(check_positivity_refinement(d100, d150))
     results.append(check_quadrant_reference(law, cone))
-    results.append(check_endpoint_survival_decay(law, cone, d100))
+    results.append(check_endpoint_survival_decay(d100))
     results.append(check_cross_exit_bound(law, cone, seed))
-    results.append(check_bracket_invariants(law, cone, d100, d150))
+    results.append(check_bracket_invariants(d100, d150))
     results.append(check_local_irreducibility(law, cone))
     results.sort(key=lambda r: r.number)
     return results

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -192,6 +193,12 @@ atom 0 -1 0.25
         assert est_data[0] == "operation,params,mean,stderr,n,truncated_fraction"
         ops = {row.split(",")[0] for row in est_data[1:]}
         assert {"absorption_crosscheck", "overshoot_moment"} <= ops
+        # Names and details hold commas; quoting keeps every row as wide
+        # as its header.
+        for lines in (data, est_data):
+            parsed = list(csv.reader(lines))
+            assert all(len(row) == len(parsed[0]) for row in parsed)
+        assert [row[2] for row in csv.reader(data[1:])] == ["pass"] * 10
 
     def test_martin_table_csv_and_determinism(self, tmp_path):
         path = write_config(tmp_path, GOOD_CONFIG)
@@ -237,3 +244,13 @@ class TestCsvWriter:
         assert lines[5:-1] == [",".join(self._joined(v) for v in row)
                                for row in rows]
         assert lines[6] == "2.5,2,b,nan"
+
+    def test_fields_with_commas_read_back(self, tmp_path):
+        cfg = parse_config_text(GOOD_CONFIG, name="demo")
+        rows = [(9, "nesting, additivity", "pass", "[0.1,0.2]; z=(3, 4)"),
+                (1, 'say "hi"', 0.5, "line\nbreak")]
+        path = tmp_path / "t.csv"
+        _write_csv(path, cfg, [], ["p", "q", "r", "s"], rows)
+        with open(path, newline="") as fh:
+            parsed = list(csv.reader(l for l in fh if not l.startswith("#")))
+        assert parsed[1:] == [[self._joined(v) for v in row] for row in rows]

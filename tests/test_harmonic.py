@@ -49,7 +49,7 @@ class TestBuildH:
         # must coincide with the survival solve.
         d = build_domain(quadrant_cone, law4, 30)
         h = build_h(spec_for_direction(law4, quadrant_cone, law4.drift()), d)
-        s = survival_probability(law4, d, tilt_point(law4, (0.0, 0.0)))
+        s = survival_probability(d, tilt_point(law4, (0.0, 0.0)))
         assert np.abs(h.lo - s.lo).max() <= 1e-12
         assert np.abs(h.hi - s.hi).max() <= 1e-12
 
@@ -59,7 +59,7 @@ class TestBuildH:
         q = np.array([0.8, 0.6])
         spec = spec_for_direction(law4, quadrant_cone, q)
         h = build_h(spec, d)
-        s = survival_probability(law4, d, spec.tilt)
+        s = survival_probability(d, spec.tilt)
         scale = np.exp(-(d.states.astype(float) @ spec.tilt.a))
         assert np.abs(h.lo * scale - s.lo).max() <= 1e-10
         assert np.abs(h.hi * scale - s.hi).max() <= 1e-10
@@ -70,7 +70,7 @@ class TestBuildH:
             d = build_domain(quadrant_cone, law, 30)
             for wall in (1, 2):
                 spec = spec_for_endpoint(law, quadrant_cone, wall)
-                u = exit_expectation(law, d, spec.tilt,
+                u = exit_expectation(d, spec.tilt,
                                      payoff=f"linear_wall{wall}")
                 z = d.states.astype(float)
                 lead = (z @ quadrant_cone.normal(wall)) * np.exp(z @ spec.tilt.a)
@@ -81,7 +81,7 @@ class TestBuildH:
         for spec in (spec_for_endpoint(law4, cone45, 1),
                      spec_for_endpoint(law4, cone45, 2)):
             h = build_h(spec, d)
-            rep = harmonicity_residual(h, law4, d)
+            rep = harmonicity_residual(h)
             assert rep.within(1e-8)
 
     def test_wrong_cone_domain_rejected(self, law4, quadrant_cone, cone45):
@@ -89,6 +89,15 @@ class TestBuildH:
         spec = spec_for_endpoint(law4, quadrant_cone, 1)
         with pytest.raises(ValueError):
             build_h(spec, d)
+
+    def test_wrong_law_domain_rejected(self, law4, law5, quadrant_cone):
+        # A law5 tilt on a law4 walk would give an uncertified bracket.
+        d = build_domain(quadrant_cone, law4, 30)
+        spec = spec_for_endpoint(law5, quadrant_cone, 1)
+        with pytest.raises(ValueError, match="step law"):
+            build_h(spec, d)
+        with pytest.raises(ValueError, match="step law"):
+            cross_exit_bound(spec, d, (5, 5), 0.2)
 
 
 class TestPositivity:
@@ -164,7 +173,7 @@ class TestCrossExitBound:
         d = build_domain(quadrant_cone, law4, 40)
         spec = spec_for_endpoint(law4, quadrant_cone, 1)
         res = cross_exit_bound(spec, d, (3, 12), 0.2)
-        assert res.holds()
+        assert res.term.hi <= res.bound + 1e-10
         assert res.eps > 0.0
         assert res.term.lo >= -1e-12
 
@@ -197,7 +206,7 @@ class TestCrossExitBound:
         eps_prev = None
         for delta in (0.4, 0.2, 0.1):
             res = cross_exit_bound(spec, d, (2, 10), delta)
-            assert res.holds()
+            assert res.term.hi <= res.bound + 1e-10
             if eps_prev is not None:
                 assert res.eps < eps_prev
             eps_prev = res.eps

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import load_config
 from conewalk import (RngSpec, StepLaw, absorption_crosscheck,
-                      build_cone_from_angles, local_irreducibility_scan,
+                      build_cone_from_angles, build_domain,
+                      local_irreducibility_scan,
                       martin_ratio_table, overshoot_moment, point_with_normal,
                       sample_exit)
 from conewalk.montecarlo import _atom_index, _simulate_batch
@@ -184,17 +185,19 @@ class TestBlockBoundaries:
 
 class TestAbsorptionCrosscheck:
     def test_zero_tilt(self, law4, quadrant_cone):
-        chk = absorption_crosscheck(law4, quadrant_cone, (0.0, 0.0), (4, 4),
+        d = build_domain(quadrant_cone, law4, 60)
+        chk = absorption_crosscheck(d, (0.0, 0.0), (4, 4),
                                     horizon=5000, n=20_000,
-                                    rng=RngSpec(42, 1), radius=60)
+                                    rng=RngSpec(42, 1))
         assert chk.consistent
         assert chk.bracket.width < 1e-6
 
     def test_interior_tilt_agrees_sharply(self, law5, quadrant_cone):
         a = 0.5 * point_with_normal(law5, (1.0, 0.0)).a
-        chk = absorption_crosscheck(law5, quadrant_cone, a, (4, 4),
+        d = build_domain(quadrant_cone, law5, 60)
+        chk = absorption_crosscheck(d, a, (4, 4),
                                     horizon=5000, n=20_000,
-                                    rng=RngSpec(42, 2), radius=60)
+                                    rng=RngSpec(42, 2))
         assert chk.consistent
         assert chk.truncated_fraction == 0.0
 
@@ -202,9 +205,10 @@ class TestAbsorptionCrosscheck:
         # The projected walk is mean-zero, so absorption approaches one
         # slowly; the one-sided bias accounting must still be consistent.
         p = point_with_normal(law4, quadrant_cone.c1)
-        chk = absorption_crosscheck(law4, quadrant_cone, p, (2, 2),
+        d = build_domain(quadrant_cone, law4, 60)
+        chk = absorption_crosscheck(d, p, (2, 2),
                                     horizon=20_000, n=4000,
-                                    rng=RngSpec(42, 3), radius=60)
+                                    rng=RngSpec(42, 3))
         assert chk.consistent
         assert chk.mc_mean >= 0.9
 
@@ -264,9 +268,10 @@ class TestOvershoot:
 
 class TestMartinTable:
     def test_reference_probe_has_unit_ratio(self, law4, quadrant_cone):
-        rows = martin_ratio_table(law4, quadrant_cone, law4.drift(),
+        rows = martin_ratio_table(build_domain(quadrant_cone, law4, 40),
+                                  law4.drift(),
                                   radii=(10, 20), probes=[(2, 2), (3, 5)],
-                                  z_ref=(2, 2), domain_radius=40)
+                                  z_ref=(2, 2))
         assert len(rows) == 4
         for row in rows:
             assert not row.degenerate
@@ -276,9 +281,10 @@ class TestMartinTable:
 
     def test_ratios_move_toward_harmonic_ratios(self, law4, quadrant_cone):
         probes = [(2, 2), (6, 3)]
-        rows = martin_ratio_table(law4, quadrant_cone, law4.drift(),
+        rows = martin_ratio_table(build_domain(quadrant_cone, law4, 40),
+                                  law4.drift(),
                                   radii=(8, 16, 28), probes=probes,
-                                  z_ref=(2, 2), domain_radius=40)
+                                  z_ref=(2, 2))
         picked = [r for r in rows if r.probe == (6, 3)]
         h_ratio = picked[0].h_ratio
         errors = [abs(r.green_ratio - h_ratio) for r in picked]
@@ -288,9 +294,10 @@ class TestMartinTable:
         # On the quadrant the Martin kernel's convergence is a theorem
         # (Ignatiouk-Robert and Loree, Ann. Probab. 2010).
         cfg = load_config("quadrant")
-        rows = martin_ratio_table(cfg.law, cfg.cone, cfg.law.drift(),
+        rows = martin_ratio_table(build_domain(cfg.cone, cfg.law, 40),
+                                  cfg.law.drift(),
                                   radii=(12, 20, 28), probes=[(1, 1), (1, 3)],
-                                  z_ref=(1, 1), domain_radius=40)
+                                  z_ref=(1, 1))
         picked = [r for r in rows if r.probe == (1, 3)]
         errors = [abs(r.green_ratio - r.h_ratio) for r in picked]
         assert errors[0] > errors[1] > errors[2]
@@ -298,16 +305,16 @@ class TestMartinTable:
     def test_direction_near_ray_is_well_formed(self, law4, quadrant_cone):
         q = np.array([0.995, 0.0999])
         q /= np.linalg.norm(q)
-        rows = martin_ratio_table(law4, quadrant_cone, q, radii=(10,),
-                                  probes=[(2, 2), (4, 1)], z_ref=(2, 2),
-                                  domain_radius=30)
+        rows = martin_ratio_table(build_domain(quadrant_cone, law4, 30), q,
+                                  radii=(10,), probes=[(2, 2), (4, 1)],
+                                  z_ref=(2, 2))
         assert all(math.isfinite(r.green_ratio) for r in rows)
 
     def test_probe_outside_domain_rejected(self, law4, quadrant_cone):
         with pytest.raises(KeyError):
-            martin_ratio_table(law4, quadrant_cone, law4.drift(), radii=(5,),
-                               probes=[(2, 2), (99, 99)], z_ref=(2, 2),
-                               domain_radius=20)
+            martin_ratio_table(build_domain(quadrant_cone, law4, 20),
+                               law4.drift(), radii=(5,),
+                               probes=[(2, 2), (99, 99)], z_ref=(2, 2))
 
 
 class TestConnectivityScan:

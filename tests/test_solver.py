@@ -200,7 +200,7 @@ class TestSingleState:
         # All four successors leave the cone, so the value is an exact
         # finite sum and the bracket has zero width.
         a = np.array([-0.2, -0.1])
-        u = exit_expectation(law4, d, tilt_point(law4, a))
+        u = exit_expectation(d, tilt_point(law4, a))
         expected = sum(p * math.exp(a @ (np.array([2, 1]) + np.array(w)))
                        for w, p in law4.atoms.items())
         b = u.bracket((2, 1))
@@ -210,7 +210,7 @@ class TestSingleState:
     def test_zero_tilt_exits_with_probability_one(self, law4):
         cone = build_cone((3, 1), (5, 3))
         d = build_domain(cone, law4, 2)
-        u = exit_expectation(law4, d, tilt_point(law4, (0.0, 0.0)))
+        u = exit_expectation(d, tilt_point(law4, (0.0, 0.0)))
         assert u.bracket((2, 1)).lo == pytest.approx(1.0, abs=1e-14)
 
 
@@ -218,7 +218,7 @@ class TestExitExpectation:
     def test_lower_solve_matches_value_iteration(self, law4, quadrant_cone):
         a = 0.5 * point_with_normal(law4, (0.0, 1.0)).a
         d = build_domain(quadrant_cone, law4, 8)
-        u = exit_expectation(law4, d, tilt_point(law4, a))
+        u = exit_expectation(d, tilt_point(law4, a))
         oracle = dp_exit_expectation(law4, quadrant_cone, 8, a)
         for z, val in oracle.items():
             assert u.bracket(z).lo == pytest.approx(val, abs=1e-11)
@@ -227,7 +227,7 @@ class TestExitExpectation:
                                                                quadrant_cone):
         point = point_with_normal(law4, (0.0, 1.0))
         d = build_domain(quadrant_cone, law4, 8)
-        u = exit_expectation(law4, d, point, payoff="linear_wall1")
+        u = exit_expectation(d, point, payoff="linear_wall1")
         oracle = dp_exit_expectation(law4, quadrant_cone, 8, point.a,
                                      payoff_wall=1)
         for z, val in oracle.items():
@@ -240,7 +240,7 @@ class TestExitExpectation:
     def test_exit_probability_below_one_with_inward_drift(self, law4,
                                                           quadrant_cone):
         d = build_domain(quadrant_cone, law4, 40)
-        u = exit_expectation(law4, d, tilt_point(law4, (0.0, 0.0)))
+        u = exit_expectation(d, tilt_point(law4, (0.0, 0.0)))
         b = u.bracket((20, 20))
         assert b.hi < 1.0
         assert b.lo > 0.0
@@ -250,8 +250,8 @@ class TestExitExpectation:
             a = tilt_point(law, 0.5 * point_with_normal(law, (1.0, 0.0)).a)
             d1 = build_domain(quadrant_cone, law, 20)
             d2 = build_domain(quadrant_cone, law, 30)
-            u1 = exit_expectation(law, d1, a)
-            u2 = exit_expectation(law, d2, a)
+            u1 = exit_expectation(d1, a)
+            u2 = exit_expectation(d2, a)
             idx = np.array([d2.index_of(z) for z in d1.states])
             assert np.all(u2.lo[idx] >= u1.lo - 1e-12)
             assert np.all(u2.hi[idx] <= u1.hi + 1e-12)
@@ -259,9 +259,9 @@ class TestExitExpectation:
     def test_restriction_masks_partition_exits(self, law4, quadrant_cone):
         d = build_domain(quadrant_cone, law4, 15)
         p = tilt_point(law4, (0.0, 0.0))
-        u_all = exit_expectation(law4, d, p)
-        u1 = exit_expectation(law4, d, p, restriction="only_wall1_first")
-        u2 = exit_expectation(law4, d, p, restriction="only_wall2_first")
+        u_all = exit_expectation(d, p)
+        u1 = exit_expectation(d, p, restriction="only_wall1_first")
+        u2 = exit_expectation(d, p, restriction="only_wall2_first")
         assert np.allclose(u1.lo + u2.lo, u_all.lo, atol=1e-13)
         assert np.all(u_all.hi <= u1.hi + u2.hi + 1e-13)
 
@@ -269,14 +269,14 @@ class TestExitExpectation:
         d = build_domain(quadrant_cone, law4, 15)
         a = 0.5 * point_with_normal(law4, (1.0, 0.0)).a
         p = tilt_point(law4, a)
-        u2 = exit_expectation(law4, d, p, restriction="only_wall2_first")
+        u2 = exit_expectation(d, p, restriction="only_wall2_first")
         scale = np.exp(-(d.states.astype(float) @ p.a))
         assert np.all(u2.hi * scale <= 1.0 + 1e-12)
 
     def test_exterior_tilt_rejected(self, law4, quadrant_cone):
         d = build_domain(quadrant_cone, law4, 10)
         with pytest.raises(ValueError):
-            exit_expectation(law4, d, tilt_point(law4, (1.0, 1.0)))
+            exit_expectation(d, tilt_point(law4, (1.0, 1.0)))
 
 
 class TestSurvival:
@@ -284,15 +284,15 @@ class TestSurvival:
         d = build_domain(quadrant_cone, law4, 25)
         for a in [(0.0, 0.0), 0.5 * point_with_normal(law4, (0.0, 1.0)).a]:
             p = tilt_point(law4, a)
-            s = survival_probability(law4, d, p)
-            u = exit_expectation(law4, d, p)
+            s = survival_probability(d, p)
+            u = exit_expectation(d, p)
             scale = np.exp(-(d.states.astype(float) @ p.a))
             assert np.abs(s.lo + u.hi * scale - 1.0).max() <= 1e-10
             assert np.abs(s.hi + u.lo * scale - 1.0).max() <= 1e-10
 
     def test_positive_survival_under_inward_drift(self, law4, quadrant_cone):
         d = build_domain(quadrant_cone, law4, 40)
-        s = survival_probability(law4, d, tilt_point(law4, (0.0, 0.0)))
+        s = survival_probability(d, tilt_point(law4, (0.0, 0.0)))
         assert s.bracket((10, 10)).lo > 0.0
         # deeper along the drift ray the walk survives more often
         assert s.bracket((25, 25)).lo > s.bracket((5, 5)).hi - 0.2
@@ -303,7 +303,7 @@ class TestSurvival:
         uppers = []
         for r in (30, 60):
             d = build_domain(quadrant_cone, law4, r)
-            s = survival_probability(law4, d, point)
+            s = survival_probability(d, point)
             assert s.bracket((1, 10)).lo == pytest.approx(0.0, abs=1e-12)
             uppers.append(s.bracket((1, 10)).hi)
         assert uppers[1] < uppers[0]
@@ -314,14 +314,14 @@ class TestSurvival:
         d = build_domain(quadrant_cone, law4, 20)
         a = tilt_point(law4, (-0.4, -0.4))
         assert a.value < 1.0
-        s = survival_probability(law4, d, a)
+        s = survival_probability(d, a)
         assert s.bracket((10, 10)).lo > 0.9
 
 
 class TestGreen:
     def test_diagonal_at_least_one(self, law4, quadrant_cone):
         d = build_domain(quadrant_cone, law4, 12)
-        g = green_column(law4, d, (4, 4))
+        g = green_column(d, (4, 4))
         assert g.bracket((4, 4)).lo >= 1.0 - 1e-12
         # The killed walk's upper bracket stays below the free walk's bound.
         free = _free_green_bound(law4, d.states - np.array([4, 4]))
@@ -331,14 +331,14 @@ class TestGreen:
         # Diagonal steps preserve the parity of x + y.
         law = StepLaw({(1, 1): 0.5, (1, -1): 0.2, (-1, 1): 0.2, (-1, -1): 0.1})
         d = build_domain(quadrant_cone, law, 10)
-        g = green_column(law, d, (3, 3))
+        g = green_column(d, (3, 3))
         assert g.bracket((3, 4)).lo == 0.0
         assert g.bracket((4, 4)).lo > 0.0
 
     def test_swap_symmetry_for_symmetric_law(self, law4, quadrant_cone):
         d = build_domain(quadrant_cone, law4, 12)
-        g1 = green_column(law4, d, (5, 3))
-        g2 = green_column(law4, d, (3, 5))
+        g1 = green_column(d, (5, 3))
+        g2 = green_column(d, (3, 5))
         for (x, y) in [(2, 2), (4, 7), (6, 1)]:
             assert g1.bracket((x, y)).lo == pytest.approx(
                 g2.bracket((y, x)).lo, rel=1e-10)
@@ -355,7 +355,7 @@ class TestGreen:
         cfg = load_config(model)
         d = build_domain(cfg.cone, cfg.law, 40)
         for frac in (0.3, 0.5, 0.7):
-            g = green_column(cfg.law, d, self._target(d, cfg.law, frac))
+            g = green_column(d, self._target(d, cfg.law, frac))
             for probe in _default_probes(cfg, 3):
                 b = g.bracket(probe)
                 assert b.lo > 0.0
@@ -367,8 +367,8 @@ class TestGreen:
         small = build_domain(cfg.cone, cfg.law, 40)
         large = build_domain(cfg.cone, cfg.law, 80)
         target = self._target(small, cfg.law, 0.5)
-        g_small = green_column(cfg.law, small, target)
-        g_large = green_column(cfg.law, large, target)
+        g_small = green_column(small, target)
+        g_large = green_column(large, target)
         idx = [large.index_of(z) for z in small.states]
         assert np.all(g_large.lo[idx] <= g_small.hi * (1.0 + 1e-12))
         assert np.all(g_small.lo <= g_large.lo[idx] * (1.0 + 1e-12))
@@ -383,7 +383,7 @@ class TestGreen:
 
         monkeypatch.setattr(solver.TruncatedDomain, "solve", counted)
         d = build_domain(quadrant_cone, law4, 12)
-        green_column(law4, d, (4, 4))
+        green_column(d, (4, 4))
         assert shapes == [(d.n_states, 2)]
 
 
@@ -408,9 +408,23 @@ class TestResidual:
         d = build_domain(quadrant_cone, law4, 10)
         ones = np.ones(d.n_states)
         h = HarmonicField(domain=d, kind="exp", a=np.zeros(2), lo=ones, hi=ones)
-        rep = harmonicity_residual(h, law4, d)
+        rep = harmonicity_residual(h)
         assert rep.relative_excess > 1e-3  # near-wall states lose mass
         assert rep.n_evaluated < d.n_states
+
+    def test_one_wrong_state_fails_the_gate(self):
+        # Near the vertex h is about 1e-17 of its largest value, so only a
+        # per-state scale can see it doubled.
+        cfg = load_config("quadrant")
+        d = build_domain(cfg.cone, cfg.law, 150)
+        h = build_h(spec_for_endpoint(cfg.law, cfg.cone, 1), d)
+        assert harmonicity_residual(h).within(1e-8)
+        i = d.index_of((3, 3))
+        h.lo[i] *= 2.0
+        h.hi[i] *= 2.0
+        rep = harmonicity_residual(h)
+        assert not rep.within(1e-8)
+        assert rep.worst_state == (3, 3)
 
     def test_matches_hand_rolled_loop(self, law4, quadrant_cone):
         d = build_domain(quadrant_cone, law4, 6)
@@ -418,7 +432,7 @@ class TestResidual:
         vals = rng.uniform(0.5, 1.5, size=d.n_states)
         h = HarmonicField(domain=d, kind="exp", a=np.zeros(2),
                           lo=vals, hi=vals)
-        rep = harmonicity_residual(h, law4, d)
+        rep = harmonicity_residual(h)
         worst = 0.0
         for i, (x, y) in enumerate(d.states):
             if any(max(abs(x + dx), abs(y + dy)) > 6
