@@ -27,8 +27,8 @@ from .cone import ConeGeometry, _angle_between
 from .solver import (Bracket, HarmonicField, TruncatedDomain,
                      DEFAULT_DELTA_GRID, exit_expectation)
 from .steplaw import StepLaw
-from .tiltgeom import (TiltPoint, epsilon_for_delta, normal_direction,
-                       point_with_normal, tilt_point)
+from .tiltgeom import (TiltPoint, as_tilt_point, epsilon_for_delta,
+                       normal_direction, point_with_normal)
 
 #: Angular tolerance deciding the endpoint branch.
 BRANCH_ANGLE_TOL = 1e-8
@@ -65,7 +65,7 @@ def classify_spec(law: StepLaw, cone: ConeGeometry, a) -> HarmonicSpec:
     tolerance) attach a warning since the two formulas are different
     objects.
     """
-    point = a if isinstance(a, TiltPoint) else tilt_point(law, a)
+    point = as_tilt_point(law, a)
     if not point.on_boundary:
         raise ValueError(f"tilt is not on the level-set boundary "
                          f"(mgf = {point.value!r})")

@@ -18,8 +18,7 @@ import numpy as np
 from .cone import ConeGeometry
 from .solver import Bracket, TruncatedDomain, exit_expectation, green_column
 from .steplaw import LatticePoint, StepLaw, TiltedLaw
-from .tiltgeom import (TiltPoint, point_with_normal, tilt_point,
-                       wall_decay_exponent)
+from .tiltgeom import as_tilt_point, point_with_normal, wall_decay_exponent
 from .harmonic import build_h, classify_spec
 
 #: Paths are declared safe from ever exiting once both wall distances give
@@ -30,6 +29,10 @@ ESCAPE_BOUND = 1e-12
 #: Uniforms per block of the sampling kernel; it bounds the block
 #: temporaries to a few MB.
 BUDGET = 1 << 16
+
+#: Blocks of at most this many steps per path take their running sum by
+#: column adds; at about 32 steps a cumsum along the rows is as fast.
+SHORT_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,9 @@ def _atom_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The atom each uniform ``u`` picks: the count of ``cum[:-1]`` entries
     at or below it.  As ``cum`` is nondecreasing, this is
     ``searchsorted(cum, u, side="right")`` clamped to the last atom, at a
-    few vectorised comparisons per uniform instead of a binary search."""
-    idx = np.zeros(u.shape, dtype=np.intp)
+    few vectorised comparisons per uniform instead of a binary search; the
+    count is kept in the smallest integer type that holds it."""
+    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cum)))
     for c in cum[:-1]:
         idx += u >= c
     return idx
@@ -101,25 +105,35 @@ def _walk(cum: np.ndarray, steps: np.ndarray, mass: float, z0, n: int,
     block (at least 1, at most the steps left); ``argmax`` finds each
     path's first kill or stop.  Returns per path the code (-1 killed, 0 at
     ``horizon``), the step count, and the position at a stop.
+
+    A block is coordinate-major, shape ``(2, live, k)``: x steps, then y
+    steps.  The live positions are added to each path's first step, the
+    running sum runs along contiguous memory (by column adds in short
+    blocks), and ``stop`` sees the block as an ``(m, 2)`` view whose two
+    columns are contiguous.  The layout changes no draw: every path gets
+    the same uniforms in the same blocks, and the same codes, counts and
+    positions, as with point-major ``(live, k, 2)`` blocks.
     """
     code = np.zeros(n, dtype=np.int64)
     count = np.full(n, horizon, dtype=np.int64)
     end = np.zeros((n, 2), dtype=np.int64)
     ids = np.arange(n)
-    pos = np.tile(np.asarray(z0, dtype=np.int64), (n, 1))
+    pos = np.tile(np.asarray(z0, dtype=np.int64)[:, None], (1, n))
+    cols = steps.T
     t = 0
     while len(ids) and t < horizon:
         live = len(ids)
         k = min(max(1, BUDGET // live), horizon - t)
         u = rng.random((live, k))
-        idx = _atom_index(cum, u)
-        # np.take, and no cumsum over a single step, keep the k = 1 blocks
-        # of a large batch as cheap as one plain step.
-        path = np.take(steps, idx, axis=0)
-        if k > 1:
-            np.cumsum(path, axis=1, out=path)
-        path += pos[:, None, :]
-        hit = stop(path.reshape(-1, 2)).reshape(live, k)
+        path = np.take(cols, _atom_index(cum, u), axis=1)
+        path[:, :, 0] += pos
+        # A cumsum along many short rows costs more than k - 1 column adds.
+        if k <= SHORT_BLOCK:
+            for j in range(1, k):
+                path[:, :, j] += path[:, :, j - 1]
+        else:
+            np.cumsum(path, axis=2, out=path)
+        hit = stop(path.reshape(2, -1).T).reshape(live, k)
         if mass < 1.0:
             hit[u >= mass] = -1
         stopped = hit != 0
@@ -128,9 +142,9 @@ def _walk(cum: np.ndarray, steps: np.ndarray, mass: float, z0, n: int,
         first = stopped[done].argmax(axis=1)
         code[ids[done]] = hit[done, first]
         count[ids[done]] = t + 1 + first
-        end[ids[done]] = path[done, first]
+        end[ids[done]] = path[:, done, first].T
         ids = ids[going]
-        pos = path[going, -1]
+        pos = np.compress(going, path[:, :, -1], axis=1)
         t += k
     return code, count, end
 
@@ -155,7 +169,7 @@ def _simulate_batch(tilted: TiltedLaw, cone: ConeGeometry, z0, horizon: int,
 
     def stop(p):
         bad1, bad2 = cone.wall_violations(p)
-        code = bad1 + 2 * bad2
+        code = bad1 + np.int8(2) * bad2
         if escape is not None:
             q = p.astype(float)
             code[(code == 0) & (q @ cone.f1 >= escape[0])
@@ -165,7 +179,7 @@ def _simulate_batch(tilted: TiltedLaw, cone: ConeGeometry, z0, horizon: int,
     if not cone.contains(z0):
         # Starting outside the cone exits immediately with zero steps.
         start = np.tile(np.asarray(z0, dtype=np.int64), (n, 1))
-        return stop(start), np.zeros(n, dtype=np.int64), start
+        return stop(start).astype(np.int64), np.zeros(n, dtype=np.int64), start
     which, steps, points = _walk(np.cumsum(tilted.weights), tilted.steps,
                                  tilted.total_mass, z0, n, horizon, rng, stop)
     points[which <= 0] = 0
@@ -215,7 +229,7 @@ def absorption_crosscheck(domain: TruncatedDomain, a, z0, horizon: int,
     enters the lower comparison as a one-sided bias allowance.
     """
     law, cone = domain.law, domain.cone
-    point = a if isinstance(a, TiltPoint) else tilt_point(law, a)
+    point = as_tilt_point(law, a)
     u = exit_expectation(domain, point, payoff="exp", restriction="all_exits")
     b = u.bracket(z0)
     scale = math.exp(-float(point.a @ np.asarray(z0, dtype=float)))
@@ -269,7 +283,7 @@ def overshoot_moment(law: StepLaw, cone: ConeGeometry, wall: int, z0,
 
     code, _, end = _walk(np.cumsum(tilted.normalized_probs()), law.steps, 1.0,
                          z0, n, horizon, rng.generator(),
-                         lambda p: (p @ w <= 0).astype(np.int64))
+                         lambda p: (p @ w <= 0).astype(np.int8))
     resolved = code == 1
     n_resolved = int(resolved.sum())
     truncated = 1.0 - n_resolved / n

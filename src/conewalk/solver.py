@@ -41,8 +41,9 @@ import scipy.sparse.linalg as spla
 from .cone import ConeGeometry
 from .errors import DomainSizeError, NoIntersectionError, NonConvergenceError
 from .steplaw import LatticePoint, StepLaw
-from .tiltgeom import (TiltPoint, boundary_polyline, interior_minimum,
-                       largest_level_shift, tilt_point, wall_decay_exponent)
+from .tiltgeom import (TiltPoint, as_tilt_point, boundary_polyline,
+                       interior_minimum, largest_level_shift,
+                       wall_decay_exponent)
 
 #: Default tangential offsets for the opposite-wall truncation bound.
 DEFAULT_DELTA_GRID = (0.5, 0.25, 0.1, 0.05)
@@ -168,7 +169,9 @@ class TruncatedDomain:
     # -- kernels ------------------------------------------------------------
 
     def _tilt_key(self, a: np.ndarray | None):
-        return None if a is None else (float(a[0]), float(a[1]))
+        # exp(0) = 1 weighs every atom by exactly its probability, so an
+        # all-zero tilt shares the untilted system.
+        return None if a is None or not a.any() else (float(a[0]), float(a[1]))
 
     def transition_matrix(self, a: np.ndarray | None = None) -> sp.csr_matrix:
         """Interior-to-interior kernel, exponentially tilted by ``a``.
@@ -457,7 +460,7 @@ def _restriction_mask(cone: ConeGeometry, pts: np.ndarray, restriction: str,
 
 
 def _as_tilt(law: StepLaw, a) -> TiltPoint:
-    point = a if isinstance(a, TiltPoint) else tilt_point(law, a)
+    point = as_tilt_point(law, a)
     if not point.in_closed_set:
         raise ValueError(
             f"tilt lies outside the unit level set (mgf = {point.value!r})")

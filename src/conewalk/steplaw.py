@@ -91,7 +91,7 @@ class StepLaw:
 
     def _dots(self, a: np.ndarray) -> np.ndarray:
         dots = self.steps @ a
-        if np.any(dots > EXP_GUARD):
+        if (dots > EXP_GUARD).any():
             raise RangeOverflowError(
                 f"exponent {dots.max():.1f} exceeds the overflow guard {EXP_GUARD}"
             )

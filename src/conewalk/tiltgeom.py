@@ -11,8 +11,9 @@ truncation bounds of the lattice solver), and packages boundary points as
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,11 +34,13 @@ ANGLE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class TiltPoint:
-    """A tilt vector with cached mgf value, gradient, and classification."""
+    """A tilt vector with cached mgf value, gradient, and classification,
+    for the law it was made for."""
 
     a: np.ndarray
     value: float
     grad: np.ndarray
+    law: StepLaw = field(repr=False)
 
     def __post_init__(self) -> None:
         self.a.setflags(write=False)
@@ -60,12 +63,27 @@ class TiltPoint:
 
 def tilt_point(law: StepLaw, a) -> TiltPoint:
     a = np.asarray(a, dtype=float).copy()
-    return TiltPoint(a=a, value=law.mgf(a), grad=law.mgf_grad(a))
+    return TiltPoint(a=a, value=law.mgf(a), grad=law.mgf_grad(a), law=law)
+
+
+def as_tilt_point(law: StepLaw, a) -> TiltPoint:
+    """``a`` as a :class:`TiltPoint` of ``law``.
+
+    A tilt point is returned as it is, so its cached values are reused;
+    one made for another law raises ``ValueError``, since its value and
+    gradient are that law's.  A plain vector is evaluated.
+    """
+    if not isinstance(a, TiltPoint):
+        return tilt_point(law, a)
+    if a.law != law:
+        raise ValueError("tilt point was made for a different step law")
+    return a
 
 
 def normal_direction(law: StepLaw, a) -> np.ndarray:
     """Normalised mgf gradient at ``a`` (the outward normal on the boundary)."""
-    grad = a.grad if isinstance(a, TiltPoint) else law.mgf_grad(a)
+    grad = (as_tilt_point(law, a).grad if isinstance(a, TiltPoint)
+            else law.mgf_grad(a))
     norm = float(np.linalg.norm(grad))
     if norm < 1e-12:
         raise ZeroGradientError("mgf gradient vanishes; no normal direction here")
@@ -79,13 +97,23 @@ def _mgf_safe(law: StepLaw, a: np.ndarray) -> float:
         return math.inf
 
 
-def interior_minimum(law: StepLaw, max_iter: int = 200) -> np.ndarray:
-    """The unique minimiser of the mgf (strictly inside the level set)."""
+def interior_minimum(law: StepLaw) -> np.ndarray:
+    """The unique minimiser of the mgf (strictly inside the level set).
+
+    The result is cached per law and read-only.
+    """
+    return _interior_minimum(tuple(sorted(law.atoms.items())))
+
+
+@functools.lru_cache(maxsize=16)
+def _interior_minimum(atoms: tuple) -> np.ndarray:
+    """Damped Newton from the origin, for the law with these sorted atoms."""
+    law = StepLaw(dict(atoms))
     a = np.zeros(2)
-    for _ in range(max_iter):
+    for _ in range(200):
         g = law.mgf_grad(a)
         if np.linalg.norm(g) < 1e-14:
-            return a
+            break
         step = np.linalg.solve(law.mgf_hessian(a), g)
         t = 1.0
         base = _mgf_safe(law, a)
@@ -96,8 +124,11 @@ def interior_minimum(law: StepLaw, max_iter: int = 200) -> np.ndarray:
                 break
             t *= 0.5
         else:
-            return a
-    raise NonConvergenceError("interior minimum search did not converge")
+            break
+    else:
+        raise NonConvergenceError("interior minimum search did not converge")
+    a.setflags(write=False)  # shared by every later call on the same law
+    return a
 
 
 # -- one primitive for sections of the mgf along a ray ----------------------
@@ -401,7 +432,7 @@ class BoundaryArc:
 
     def contains(self, a, tol: float = 1e-9) -> bool:
         """True iff ``a`` is on the level-set boundary with normal in the sector."""
-        point = a if isinstance(a, TiltPoint) else tilt_point(self.law, a)
+        point = as_tilt_point(self.law, a)
         if not point.on_boundary:
             return False
         q = normal_direction(self.law, point)
@@ -409,7 +440,7 @@ class BoundaryArc:
 
     def strictly_contains(self, a, tol: float = ANGLE_TOL) -> bool:
         """True iff the normal at ``a`` points strictly inside the sector."""
-        point = a if isinstance(a, TiltPoint) else tilt_point(self.law, a)
+        point = as_tilt_point(self.law, a)
         if not point.on_boundary:
             return False
         q = normal_direction(self.law, point)

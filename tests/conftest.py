@@ -3,9 +3,16 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from conewalk import StepLaw, build_cone
 from conewalk.cli import ModelConfig, parse_config
+
+# Every property test draws the same examples on every run, so tier-1 stays
+# reproducible: no example database and no per-example deadline.
+settings.register_profile("conewalk", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("conewalk")
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

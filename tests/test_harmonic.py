@@ -6,8 +6,8 @@ import pytest
 from conewalk import (build_domain, build_h, check_positive,
                       classify_spec, cross_exit_bound, exit_expectation,
                       free_harmonic_value, harmonicity_residual,
-                      spec_for_direction, spec_for_endpoint,
-                      survival_probability, tilt_point)
+                      point_with_normal, spec_for_direction,
+                      spec_for_endpoint, survival_probability, tilt_point)
 
 
 class TestSpecClassification:
@@ -41,6 +41,12 @@ class TestSpecClassification:
     def test_off_boundary_tilt_rejected(self, law4, quadrant_cone):
         with pytest.raises(ValueError):
             classify_spec(law4, quadrant_cone, (-0.3, -0.1))
+
+    def test_tilt_point_of_another_law_rejected(self, law4, law5,
+                                                quadrant_cone):
+        point = point_with_normal(law5, (1.0, 1.0))
+        with pytest.raises(ValueError, match="different step law"):
+            classify_spec(law4, quadrant_cone, point)
 
 
 class TestBuildH:

@@ -1,17 +1,20 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import load_config
-from conewalk import (RngSpec, StepLaw, absorption_crosscheck,
-                      build_cone_from_angles, build_domain,
+from conewalk import (NonConvergenceError, RngSpec, StepLaw,
+                      absorption_crosscheck, build_cone,
+                      build_cone_from_angles, build_domain, interior_minimum,
                       local_irreducibility_scan,
                       martin_ratio_table, overshoot_moment, point_with_normal,
-                      sample_exit)
-from conewalk.montecarlo import _atom_index, _simulate_batch
+                      sample_exit, tilt_point)
+from conewalk import montecarlo
+from conewalk.montecarlo import BUDGET, _atom_index, _simulate_batch
 
 
 def finite_horizon_exit_probability(law, cone, a, z0, horizon):
@@ -137,7 +140,7 @@ def atom_cumulatives(draw):
 
 
 class TestAtomIndex:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(atom_cumulatives(), st.lists(st.floats(0.0, 1.0, exclude_max=True),
                                         max_size=20))
     def test_matches_clamped_searchsorted(self, cum, drawn):
@@ -183,6 +186,209 @@ class TestBlockBoundaries:
         assert np.all(pts == 0)
 
 
+# The sampling kernel as it was when its blocks were (live, k, 2), kept
+# verbatim but for its names: the coordinate-major kernel must make the
+# same draws and return the same codes, counts and positions.
+
+def _reference_atom_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The atom each uniform ``u`` picks: the count of ``cum[:-1]`` entries
+    at or below it.  As ``cum`` is nondecreasing, this is
+    ``searchsorted(cum, u, side="right")`` clamped to the last atom, at a
+    few vectorised comparisons per uniform instead of a binary search."""
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for c in cum[:-1]:
+        idx += u >= c
+    return idx
+
+
+def _reference_walk(cum: np.ndarray, steps: np.ndarray, mass: float, z0,
+                    n: int, horizon: int, rng: np.random.Generator, stop):
+    """The sampling kernel: advance ``n`` paths from ``z0`` in blocks.
+
+    A step takes one uniform ``u``: ``u >= mass`` kills the path before the
+    step, else ``u`` picks an atom of ``steps`` by the cumulative weights
+    ``cum``.  ``stop`` maps an ``(m, 2)`` position array to codes, 0 to go
+    on.  The ``live`` paths draw ``k = BUDGET // live`` uniforms each per
+    block (at least 1, at most the steps left); ``argmax`` finds each
+    path's first kill or stop.  Returns per path the code (-1 killed, 0 at
+    ``horizon``), the step count, and the position at a stop.
+    """
+    code = np.zeros(n, dtype=np.int64)
+    count = np.full(n, horizon, dtype=np.int64)
+    end = np.zeros((n, 2), dtype=np.int64)
+    ids = np.arange(n)
+    pos = np.tile(np.asarray(z0, dtype=np.int64), (n, 1))
+    t = 0
+    while len(ids) and t < horizon:
+        live = len(ids)
+        k = min(max(1, BUDGET // live), horizon - t)
+        u = rng.random((live, k))
+        idx = _reference_atom_index(cum, u)
+        # np.take, and no cumsum over a single step, keep the k = 1 blocks
+        # of a large batch as cheap as one plain step.
+        path = np.take(steps, idx, axis=0)
+        if k > 1:
+            np.cumsum(path, axis=1, out=path)
+        path += pos[:, None, :]
+        hit = stop(path.reshape(-1, 2)).reshape(live, k)
+        if mass < 1.0:
+            hit[u >= mass] = -1
+        stopped = hit != 0
+        going = ~stopped.any(axis=1)
+        done = np.flatnonzero(~going)
+        first = stopped[done].argmax(axis=1)
+        code[ids[done]] = hit[done, first]
+        count[ids[done]] = t + 1 + first
+        end[ids[done]] = path[done, first]
+        ids = ids[going]
+        pos = path[going, -1]
+        t += k
+    return code, count, end
+
+
+class _Recording:
+    """A generator that records the shape of every ``random`` call."""
+
+    def __init__(self, seed):
+        self._gen = RngSpec(seed, 1).generator()
+        self.shapes = []
+
+    def random(self, size):
+        self.shapes.append(size)
+        return self._gen.random(size)
+
+    def generator(self):  # stands in for the RngSpec of overshoot_moment
+        return self
+
+
+def _with_kernel(kernel, seed, call):
+    """``call(rng)`` with ``kernel`` as the sampling kernel and a fresh
+    recording generator; returns the result, the kernel's outputs and the
+    shapes of the draws."""
+    outputs = []
+
+    def recorded(*args):
+        outputs.append(kernel(*args))
+        return outputs[-1]
+
+    rng = _Recording(seed)
+    with mock.patch.object(montecarlo, "_walk", recorded):
+        result = call(rng)
+    return result, outputs, rng.shapes
+
+
+def _assert_same_run(kernel_run, reference_run):
+    _, outputs, shapes = kernel_run
+    _, ref_outputs, ref_shapes = reference_run
+    assert shapes == ref_shapes
+    assert len(outputs) == len(ref_outputs)
+    for out, ref in zip(outputs, ref_outputs):
+        for arr, ref_arr in zip(out, ref):
+            assert np.array_equal(arr, ref_arr)
+
+
+#: Supports that surround the origin, so every law has a compact unit
+#: level set and an endpoint tilt for each wall.
+_SPANNING = (((1, 0), (0, 1), (-1, -1)), ((-1, 0), (0, -1), (1, 1)),
+             ((1, 0), (-1, 1), (0, -1)), ((2, -1), (-1, 2), (-1, -1)))
+
+#: Path counts on both sides of the 2**16-uniform block thresholds: blocks
+#: of one step (more than 2**15 live paths), short blocks taken by column
+#: adds, and long blocks taken by a cumsum.
+_PATH_COUNTS = (1, 3, 60, 2_049, 21_846, 32_768, 32_769, 65_537)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A law with 3-6 atoms (sometimes a (0, 0) atom), an exact or float
+    cone, a path count and a short horizon."""
+    steps = list(draw(st.sampled_from(_SPANNING)))
+    extra = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                          max_size=2))
+    if draw(st.booleans()):
+        extra.append((0, 0))
+    steps = list(dict.fromkeys(steps + extra))
+    mass = draw(st.lists(st.integers(1, 9), min_size=len(steps),
+                         max_size=len(steps)))
+    law = StepLaw({z: m / sum(mass) for z, m in zip(steps, mass)})
+    assume(np.abs(law.drift()).max() > 1e-9)
+    vec = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    kind = draw(st.sampled_from(("exact", "float", "around drift")))
+    if kind == "exact":
+        d1, d2 = draw(vec), draw(vec)
+        assume(d1[0] * d2[1] - d1[1] * d2[0] != 0)
+        cone = build_cone(d1, d2)
+    else:
+        # A cone around the drift lets an untilted walk escape.
+        m = law.drift()
+        angle = (math.degrees(math.atan2(m[1], m[0])) if kind == "around drift"
+                 else draw(st.floats(-180.0, 180.0)))
+        half = draw(st.floats(5.0, 85.0))
+        cone = build_cone_from_angles(angle - half, angle + half)
+    n = draw(st.sampled_from(_PATH_COUNTS))
+    horizon = draw(st.integers(1, 80 if n <= 2_049 else 4))
+    return law, cone, n, horizon
+
+
+def _starts_next_to_wall(cone, wall_dots):
+    """Lattice points of the box of radius 6 closest to a wall, by
+    ``wall_dots(point)``, among those with a positive value."""
+    box = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
+    dist = {z: wall_dots(z) for z in box}
+    inside = [z for z in box if dist[z] > 0]
+    assume(inside)
+    nearest = min(dist[z] for z in inside)
+    return [z for z in inside if dist[z] == nearest]
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=60)
+    @given(kernel_cases(), st.data())
+    def test_simulate_batch(self, case, data):
+        law, cone, n, horizon = case
+        starts = _starts_next_to_wall(
+            cone, lambda z: min(cone.wall_dots(z)) if cone.contains(z) else 0)
+        # A start deep inside reaches the escape distances of a strong tilt.
+        deep = np.rint(100.0 * (cone.c1 + cone.c2)).astype(int)
+        z0 = data.draw(st.sampled_from(starts + [(int(deep[0]), int(deep[1]))]))
+        s = data.draw(st.sampled_from((0.0, 0.3, 1.0)))
+        tilted = law.tilt(s * interior_minimum(law))
+        assert tilted.total_mass <= 1.0
+        early_stop = data.draw(st.booleans())
+
+        def call(rng):
+            return _simulate_batch(tilted, cone, z0, horizon, rng, n,
+                                   early_stop)
+
+        run = _with_kernel(montecarlo._walk, n, call)
+        ref = _with_kernel(_reference_walk, n, call)
+        _assert_same_run(run, ref)
+        for arr, ref_arr in zip(run[0], ref[0]):
+            assert np.array_equal(arr, ref_arr)
+
+    @settings(max_examples=40)
+    @given(kernel_cases(), st.data())
+    def test_overshoot_moment(self, case, data):
+        law, cone, n, horizon = case
+        assume(cone.is_exact)
+        wall = data.draw(st.sampled_from((1, 2)))
+        try:
+            point_with_normal(law, cone.ray(wall))
+        except NonConvergenceError:
+            assume(False)
+        w = cone.normal_ints(wall)
+        starts = _starts_next_to_wall(cone, lambda z: z[0] * w[0] + z[1] * w[1])
+        z0 = data.draw(st.sampled_from(starts))
+
+        def call(rng):
+            return overshoot_moment(law, cone, wall, z0, horizon, n, rng)
+
+        run = _with_kernel(montecarlo._walk, n, call)
+        ref = _with_kernel(_reference_walk, n, call)
+        _assert_same_run(run, ref)
+        assert repr(run[0]) == repr(ref[0])  # repr, as a nan mean is possible
+
+
 class TestAbsorptionCrosscheck:
     def test_zero_tilt(self, law4, quadrant_cone):
         d = build_domain(quadrant_cone, law4, 60)
@@ -200,6 +406,14 @@ class TestAbsorptionCrosscheck:
                                     rng=RngSpec(42, 2))
         assert chk.consistent
         assert chk.truncated_fraction == 0.0
+
+    def test_tilt_point_of_another_law_rejected(self, law4, law5,
+                                                quadrant_cone):
+        d = build_domain(quadrant_cone, law4, 30)
+        point = tilt_point(law5, 0.5 * point_with_normal(law5, (1.0, 0.0)).a)
+        with pytest.raises(ValueError, match="different step law"):
+            absorption_crosscheck(d, point, (4, 4), horizon=100, n=10,
+                                  rng=RngSpec(42, 2))
 
     def test_endpoint_tilt_with_heavy_censoring(self, law4, quadrant_cone):
         # The projected walk is mean-zero, so absorption approaches one

@@ -142,9 +142,7 @@ def _small_domain(law, cone, radius):
         assume(False)
 
 
-# derandomize keeps the drawn examples, and so tier-1, reproducible.
-_PROPERTY = settings(derandomize=True, database=None, deadline=None,
-                     max_examples=100)
+_PROPERTY = settings(max_examples=100)
 
 
 class TestSuccessorTableProperties:
@@ -307,6 +305,26 @@ class TestSurvival:
             assert s.bracket((1, 10)).lo == pytest.approx(0.0, abs=1e-12)
             uppers.append(s.bracket((1, 10)).hi)
         assert uppers[1] < uppers[0]
+
+    def test_tilt_point_of_another_law_rejected(self, law4, law5,
+                                                quadrant_cone):
+        # law5's cached mgf value would set the kill rate on a law4 domain.
+        d = build_domain(quadrant_cone, law4, 30)
+        a = 0.5 * point_with_normal(law5, (1.0, 0.0)).a
+        for field in (survival_probability, exit_expectation):
+            with pytest.raises(ValueError, match="different step law"):
+                field(d, tilt_point(law5, a))
+        own = survival_probability(d, tilt_point(law4, a)).bracket((5, 5))
+        assert own == survival_probability(d, a).bracket((5, 5))
+        assert own.lo > 0.98
+
+    def test_zero_tilt_shares_the_untilted_system(self, law4, quadrant_cone):
+        d = build_domain(quadrant_cone, law4, 20)
+        exit_expectation(d, (0.0, 0.0))
+        cached = len(d._lu_cache)
+        s = survival_probability(d, (0.0, 0.0))
+        assert len(d._lu_cache) == cached
+        assert s.bracket((10, 10)).lo > 0.0
 
     def test_kill_mass_counts_as_survival(self, law4, quadrant_cone):
         # Deep inside with a strongly substochastic tilt, survival is

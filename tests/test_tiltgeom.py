@@ -7,7 +7,8 @@ from conewalk import (DeltaTooLargeError, NoIntersectionError, StepLaw,
                       boundary_arc, boundary_polyline, boundary_shift,
                       epsilon_for_delta, interior_minimum, normal_direction,
                       point_with_normal, tilt_point, wall_decay_exponent)
-from conewalk.tiltgeom import _point_with_normal_bisect, largest_level_shift
+from conewalk.tiltgeom import (_point_with_normal_bisect, as_tilt_point,
+                               largest_level_shift)
 
 LN2 = math.log(2.0)
 
@@ -87,6 +88,40 @@ class TestNormalMap:
         with pytest.raises(ZeroGradientError):
             normal_direction(law4, interior_minimum(law4))
 
+    def test_interior_minimum_is_cached_and_read_only(self, law5,
+                                                      monkeypatch):
+        first = interior_minimum(law5)
+        evals = _count_mgf_evals(monkeypatch)
+        again = interior_minimum(StepLaw(dict(law5.atoms)))
+        assert again is first
+        assert not evals
+        with pytest.raises(ValueError):
+            again[0] = 0.0
+
+    def test_tilt_point_of_another_law_rejected(self, law4, law5):
+        point = point_with_normal(law5, (1.0, 1.0))
+        with pytest.raises(ValueError, match="different step law"):
+            normal_direction(law4, point)
+
+    def test_tilt_point_of_an_equal_law_reused(self, law5, monkeypatch):
+        point = point_with_normal(law5, (1.0, 1.0))
+        evals = _count_mgf_evals(monkeypatch)
+        assert as_tilt_point(StepLaw(dict(law5.atoms)), point) is point
+        assert np.array_equal(normal_direction(law5, point),
+                              point.grad / np.linalg.norm(point.grad))
+        assert not evals
+
+
+def _count_mgf_evals(monkeypatch) -> list:
+    """Record every mgf, gradient and Hessian evaluation from now on."""
+    evals = []
+    for name in ("mgf", "mgf_grad", "mgf_hessian"):
+        method = getattr(StepLaw, name)
+        monkeypatch.setattr(StepLaw, name,
+                            lambda self, a, _m=method, _n=name:
+                            evals.append(_n) or _m(self, a))
+    return evals
+
 
 class TestBoundaryArc:
     def test_endpoints_have_ray_normals(self, law4, quadrant_cone):
@@ -111,6 +146,14 @@ class TestBoundaryArc:
         assert not arc.contains(outside)
         inside_but_off_boundary = tilt_point(law4, (-0.3, -0.1))
         assert not arc.contains(inside_but_off_boundary)
+
+    def test_tilt_point_of_another_law_rejected(self, law4, law5,
+                                                quadrant_cone):
+        arc = boundary_arc(law4, quadrant_cone)
+        point = point_with_normal(law5, (1.0, 1.0))
+        for member in (arc.contains, arc.strictly_contains):
+            with pytest.raises(ValueError, match="different step law"):
+                member(point)
 
 
 class TestBoundaryShift:
