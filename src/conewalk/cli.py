@@ -106,14 +106,16 @@ def parse_config_text(text: str, name: str = "model") -> ModelConfig:
         raise ConfigError("missing field 'radius'")
     if seed is None:
         seed = 0
-    total = sum(a[2] for a in atoms)
-    if abs(total - 1.0) > 1e-12:
-        raise ConfigError(f"field 'atom': probabilities sum to {total!r}, not 1")
-    law = StepLaw.from_triples(atoms)
-    if cone_dirs is not None:
-        cone = build_cone(cone_dirs[:2], cone_dirs[2:])
-    else:
-        cone = build_cone_from_angles(*cone_angles)
+    try:
+        law = StepLaw.from_triples(atoms)
+    except ValueError as exc:
+        raise ConfigError(f"field 'atom': {exc}") from None
+    try:
+        cone = (build_cone(cone_dirs[:2], cone_dirs[2:]) if cone_dirs is not None
+                else build_cone_from_angles(*cone_angles))
+    except ValueError as exc:
+        cone_key = "cone_dirs" if cone_dirs is not None else "cone_angles"
+        raise ConfigError(f"field {cone_key!r}: {exc}") from None
     if radius < 2 * law.max_jump:
         raise ConfigError(f"field 'radius': {radius} is below twice the "
                           f"max jump {law.max_jump}")
@@ -289,8 +291,7 @@ def _default_probes(cfg: ModelConfig, count: int) -> list[tuple[int, int]]:
 
 
 def cmd_verify(cfg: ModelConfig, args) -> int:
-    from .montecarlo import RngSpec, overshoot_moment
-    from .verify import run_model_suite
+    from .verify import overshoot_rows, run_model_suite
     results = run_model_suite(
         cfg, mc_samples=100_000 if args.samples is None else args.samples,
         horizon=10_000 if args.horizon is None else args.horizon)
@@ -302,33 +303,18 @@ def cmd_verify(cfg: ModelConfig, args) -> int:
             print(f"[{status}] {r.number}. {r.name} ({r.seconds:.1f}s) {r.detail}")
         # Timings stay off the artifact so reruns are byte-identical.
         rows.append((r.number, r.name, status, r.detail))
-        mc_rows.extend(r.extras.get("mc_rows", ()))
+        mc_rows.extend(r.mc_rows)
     if args.out:
         out = _out_dir(args) / f"{cfg.name}_verify.csv"
         _write_csv(out, cfg, [], ["criterion", "name", "status", "detail"],
                    rows)
-        if cfg.cone.is_exact:
-            for wall in (1, 2):
-                probe = _wall_probe(cfg, wall)
-                est = overshoot_moment(cfg.law, cfg.cone, wall, probe,
-                                       horizon=200_000, n=500,
-                                       rng=RngSpec(cfg.seed, 90 + wall))
-                mc_rows.append(("overshoot_moment",
-                                f"wall={wall} z={probe} horizon=200000",
-                                est.mean, est.stderr, est.n,
-                                est.truncated_fraction))
         est_out = _out_dir(args) / f"{cfg.name}_mc_estimates.csv"
         _write_csv(est_out, cfg, [],
                    ["operation", "params", "mean", "stderr", "n",
-                    "truncated_fraction"], mc_rows)
+                    "truncated_fraction"], mc_rows + overshoot_rows(cfg))
         if not args.quiet:
             print(f"wrote {out} and {est_out}")
     return 0 if all(r.passed for r in results) else 1
-
-
-def _wall_probe(cfg: ModelConfig, wall: int) -> tuple[int, int]:
-    from .verify import _wall_adjacent_probe
-    return _wall_adjacent_probe(cfg.cone, wall, depth=8.0)
 
 
 def main(argv=None) -> int:

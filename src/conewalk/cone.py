@@ -13,19 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 #: Guard band for float membership of irrational cones.
 FLOAT_MEMBERSHIP_BAND = 1e-12
-
-
-class WhichBoundary(Enum):
-    NONE = "none"
-    H1 = "h1_violated"
-    H2 = "h2_violated"
-    BOTH = "both"
 
 
 def _rot90(v: np.ndarray) -> np.ndarray:
@@ -111,17 +103,6 @@ class ConeGeometry:
         bad1, bad2 = self.wall_violations(points)
         return ~(bad1 | bad2)
 
-    def which_boundary(self, z) -> WhichBoundary:
-        """Report which half-plane constraints fail at ``z``."""
-        bad1, bad2 = (bool(m[0]) for m in self.wall_violations(np.array([z])))
-        if bad1 and bad2:
-            return WhichBoundary.BOTH
-        if bad1:
-            return WhichBoundary.H1
-        if bad2:
-            return WhichBoundary.H2
-        return WhichBoundary.NONE
-
     def direction_in_sector(self, q, tol: float = 0.0) -> bool:
         """True iff unit direction ``q`` lies in the closed sector of the cone."""
         v = np.asarray(q, dtype=float)
@@ -181,6 +162,8 @@ def build_cone(dir1, dir2) -> ConeGeometry:
 
 def build_cone_from_angles(deg1: float, deg2: float) -> ConeGeometry:
     """Cone between rays at the given angles in degrees (float membership)."""
+    if not (math.isfinite(deg1) and math.isfinite(deg2)):
+        raise ValueError("ray angles must be finite")
     t1, t2 = math.radians(deg1), math.radians(deg2)
     c1 = np.array([math.cos(t1), math.sin(t1)])
     c2 = np.array([math.cos(t2), math.sin(t2)])

@@ -19,7 +19,7 @@ from .cone import ConeGeometry
 from .solver import Bracket, TruncatedDomain, exit_expectation, green_column
 from .steplaw import LatticePoint, StepLaw, TiltedLaw
 from .tiltgeom import as_tilt_point, point_with_normal, wall_decay_exponent
-from .harmonic import build_h, classify_spec
+from .harmonic import build_h, spec_for_direction
 
 #: Paths are declared safe from ever exiting once both wall distances give
 #: an escape bound below this mass; the resolved bias is folded into the
@@ -54,21 +54,6 @@ class MCEstimate:
     stderr: float
     n: int
     truncated_fraction: float
-
-
-@dataclass
-class ExitRecord:
-    """Outcome of one simulated path.
-
-    ``which`` is one of ``wall1``, ``wall2``, ``both`` (cone exits),
-    ``killed`` (substochastic mass deficit fired), ``escaped`` (certified
-    never to exit; see ``ESCAPE_BOUND``), or ``horizon`` (unresolved).
-    ``exit_point`` is set only for cone exits.
-    """
-
-    exit_point: LatticePoint | None
-    steps: int
-    which: str
 
 
 def _escape_distances(law: StepLaw, cone: ConeGeometry,
@@ -184,20 +169,6 @@ def _simulate_batch(tilted: TiltedLaw, cone: ConeGeometry, z0, horizon: int,
                                  tilted.total_mass, z0, n, horizon, rng, stop)
     points[which <= 0] = 0
     return which, steps, points
-
-
-def sample_exit(tilted: TiltedLaw, cone: ConeGeometry, z0, horizon: int,
-                rng: RngSpec) -> ExitRecord:
-    """Simulate one path of the tilted walk until exit, kill, or horizon."""
-    gen = rng.generator()
-    which, steps, pts = _simulate_batch(tilted, cone, z0, horizon, gen, 1,
-                                        early_stop=False)
-    code = int(which[0])
-    names = {0: "horizon", -1: "killed", -2: "escaped",
-             1: "wall1", 2: "wall2", 3: "both"}
-    name = names[code]
-    point = (int(pts[0, 0]), int(pts[0, 1])) if code > 0 else None
-    return ExitRecord(exit_point=point, steps=int(steps[0]), which=name)
 
 
 @dataclass
@@ -326,9 +297,7 @@ def martin_ratio_table(domain: TruncatedDomain, q, radii, probes,
     for p in list(probes) + [tuple(z_ref)]:
         domain.index_of(p)
 
-    law = domain.law
-    spec = classify_spec(law, domain.cone, point_with_normal(law, q))
-    h = build_h(spec, domain)
+    h = build_h(spec_for_direction(domain.law, domain.cone, q), domain)
     h_mid = h.mid
     i_ref = domain.index_of(z_ref)
 

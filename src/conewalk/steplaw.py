@@ -63,10 +63,11 @@ class StepLaw:
         probs = np.array([p for _, p in items], dtype=float)
         if steps.ndim != 2 or steps.shape[1] != 2:
             raise ValueError("support points must be integer pairs")
-        if np.any(probs <= 0.0):
+        # Written so that a NaN probability fails both tests.
+        if not np.all(probs > 0.0):
             raise ValueError("probabilities must be strictly positive")
         total = float(probs.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL * max(1.0, len(probs)):
+        if not abs(total - 1.0) <= PROB_SUM_TOL * max(1.0, len(probs)):
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "atoms", dict(items))
         object.__setattr__(self, "steps", steps)

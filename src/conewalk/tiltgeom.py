@@ -4,9 +4,9 @@ For an increment law with non-zero drift the set ``D = {a : mgf(a) <= 1}``
 is strictly convex and compact, the origin lies on its boundary, and the
 normalised gradient is a homeomorphism from the boundary onto the unit
 circle.  This module solves the two directions of that map, locates level
-crossings along rays (used for boundary shifts and for the certified
-truncation bounds of the lattice solver), and packages boundary points as
-:class:`TiltPoint` values.
+crossings along rays (used for the opposite-wall offsets and for the
+certified truncation bounds of the lattice solver), and packages boundary
+points as :class:`TiltPoint` values.
 """
 
 from __future__ import annotations
@@ -227,25 +227,6 @@ def _crossing(law: StepLaw, base: np.ndarray, d: np.ndarray) -> float:
     """Far end of the section, for ``mgf(base) < 1``: midpoint of the final bracket."""
     lo, hi = _exit(law, base, d)
     return 0.5 * (lo + hi)
-
-
-def boundary_shift(law: StepLaw, a_tilde, f) -> float:
-    """Smallest ``lam >= 0`` with ``mgf(a_tilde - lam*f) = 1``.
-
-    Returns 0 when ``a_tilde`` already sits on the level set.  Raises
-    ``NoIntersectionError`` when the ray ``a_tilde - lam*f`` misses the
-    set entirely.
-    """
-    base = np.asarray(a_tilde, dtype=float)
-    f = np.asarray(f, dtype=float)
-    g0 = _mgf_safe(law, base)
-    if abs(g0 - 1.0) <= CLASSIFY_TOL:
-        return 0.0
-    lam = _crossing(law, base, -f) if g0 < 1.0 else _entry(law, base, -f)
-    residual = abs(law.mgf(base - lam * f) - 1.0)
-    if residual > LEVEL_TOL:
-        raise NonConvergenceError(f"boundary shift residual {residual:.2e}")
-    return lam
 
 
 def epsilon_for_delta(law: StepLaw, a, delta: float, f_add, f_sub) -> float:

@@ -1,9 +1,12 @@
 """Property suite behind ``conewalk verify``.
 
-Each check returns a :class:`CriterionResult`, and a check given a domain
-reads the law and cone from it.  The test suite runs the suite on the
-three bundled models.  Domains and factorizations are shared across
-checks where the radius matches, so a run takes seconds per model.
+:func:`run_model_suite` solves a model's three boundary specs once (the
+two endpoint specs and the interior spec on the sector bisector), takes
+the five suite tilts from them, builds the R = 100 and R = 150 domains,
+and hands those same objects to the ten checks.  Each ``check_*``
+returns its verdict and detail line (and, for criterion 3, its
+simulation rows); the runner names, numbers and times them in one
+place.  A check given a domain reads the law and cone from it.
 """
 
 from __future__ import annotations
@@ -16,16 +19,33 @@ import numpy as np
 
 from .cone import ConeGeometry, _angle_between
 from .errors import DeltaTooLargeError
-from .harmonic import (HarmonicSpec, build_h, check_positive, classify_spec,
-                       cross_exit_bound, free_harmonic_value, spec_for_endpoint)
-from .montecarlo import RngSpec, absorption_crosscheck, local_irreducibility_scan
+from .harmonic import (HarmonicSpec, build_h, check_positive,
+                       cross_exit_bound, free_harmonic_value,
+                       spec_for_direction, spec_for_endpoint)
+from .montecarlo import (RngSpec, absorption_crosscheck,
+                         local_irreducibility_scan, overshoot_moment)
 from .quadrant_reference import reference_harmonic
 from .solver import (DEFAULT_DELTA_GRID, TruncatedDomain, build_domain,
                      exit_expectation, harmonicity_residual,
                      survival_probability)
 from .steplaw import StepLaw
-from .tiltgeom import (TiltPoint, normal_direction, point_with_normal,
-                       tilt_point)
+from .tiltgeom import TiltPoint, normal_direction, point_with_normal, tilt_point
+
+#: The ten criteria in order: each check's module-level name and the
+#: criterion's title.  The runner looks each check up by name when it
+#: calls it, so a check rebound in this module's namespace is the one run.
+CRITERIA = (
+    ("check_normal_map_roundtrip", "normal map round trip"),
+    ("check_free_harmonic", "free-walk linear-exponential harmonicity"),
+    ("check_absorption_identity", "exit expectation equals tilted absorption"),
+    ("check_harmonicity", "one-step harmonicity"),
+    ("check_positivity_refinement", "positivity and truncation refinement"),
+    ("check_quadrant_reference", "quadrant reference agreement"),
+    ("check_endpoint_survival_decay", "endpoint survival upper bound decays"),
+    ("check_cross_exit_bound", "opposite-wall payoff bound"),
+    ("check_bracket_invariants", "bracket nesting, complementarity, additivity"),
+    ("check_local_irreducibility", "local unit-move connectivity"),
+)
 
 
 @dataclass
@@ -35,8 +55,8 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
-    #: Structured side data, e.g. simulation estimate rows for CSV export.
-    extras: dict = field(default_factory=dict)
+    #: Simulation estimate rows for CSV export (criterion 3 only).
+    mc_rows: list = field(default_factory=list)
 
 
 def _mid_direction(cone: ConeGeometry) -> np.ndarray:
@@ -63,41 +83,27 @@ def _wall_adjacent_probe(cone: ConeGeometry, wall: int, depth: float = 25.0):
     raise RuntimeError("no wall-adjacent probe found")
 
 
-def _suite_tilts(law: StepLaw, cone: ConeGeometry) -> list[tuple[str, TiltPoint]]:
-    """Zero tilt, two strictly sub-unit tilts, two boundary-arc tilts."""
-    ep1 = point_with_normal(law, cone.c1)
-    ep2 = point_with_normal(law, cone.c2)
-    mid = point_with_normal(law, _mid_direction(cone))
-    boundary: list[tuple[str, TiltPoint]] = []
-    for name, p in (("arc_end_1", ep1), ("arc_end_2", ep2), ("arc_mid", mid)):
-        if np.linalg.norm(p.a) > 1e-9:
-            boundary.append((name, p))
-        if len(boundary) == 2:
-            break
+def _suite_tilts(law: StepLaw, specs: list[HarmonicSpec]) -> list[tuple[str, TiltPoint]]:
+    """Zero tilt, two strictly sub-unit tilts, two boundary-arc tilts.
+
+    The boundary tilts are the first two non-zero tilts of the endpoint 1,
+    endpoint 2 and bisector specs, in that order.
+    """
+    boundary = [(name, spec.tilt)
+                for name, spec in zip(("arc_end_1", "arc_end_2", "arc_mid"), specs)
+                if np.linalg.norm(spec.tilt.a) > 1e-9][:2]
     interior = [(f"interior_{i}", tilt_point(law, t * p.a))
                 for i, (t, (_, p)) in enumerate(zip((0.5, 0.4), boundary), start=1)]
-    tilts = [("zero", tilt_point(law, (0.0, 0.0)))]
-    tilts.extend(interior)
-    tilts.extend(boundary)
-    return tilts
-
-
-def _specs(law: StepLaw, cone: ConeGeometry) -> list[HarmonicSpec]:
-    return [
-        spec_for_endpoint(law, cone, 1),
-        spec_for_endpoint(law, cone, 2),
-        classify_spec(law, cone, point_with_normal(law, _mid_direction(cone))),
-    ]
+    return [("zero", tilt_point(law, (0.0, 0.0)))] + interior + boundary
 
 
 # -- individual criteria -----------------------------------------------------
 
 
-def check_normal_map_roundtrip(law: StepLaw, n: int = 64) -> CriterionResult:
-    t0 = time.time()
+def check_normal_map_roundtrip(law: StepLaw):
     worst_level = worst_angle = 0.0
-    for k in range(n):
-        t = 2.0 * math.pi * k / n
+    for k in range(64):
+        t = 2.0 * math.pi * k / 64
         q = np.array([math.cos(t), math.sin(t)])
         p = point_with_normal(law, q)
         qq = normal_direction(law, p)
@@ -105,31 +111,25 @@ def check_normal_map_roundtrip(law: StepLaw, n: int = 64) -> CriterionResult:
         worst_level = max(worst_level, abs(p.value - 1.0))
         worst_angle = max(worst_angle, ang)
     ok = worst_level <= 1e-10 and worst_angle <= 1e-8
-    return CriterionResult(1, "normal map round trip", ok,
-                           f"max level residual {worst_level:.2e}, "
-                           f"max angle {worst_angle:.2e}", time.time() - t0)
+    return ok, (f"max level residual {worst_level:.2e}, "
+                f"max angle {worst_angle:.2e}")
 
 
-def check_free_harmonic(law: StepLaw, seed: int, n: int = 100) -> CriterionResult:
-    t0 = time.time()
+def check_free_harmonic(law: StepLaw, seed: int):
     rng = np.random.default_rng(seed)
     worst = -math.inf
-    for _ in range(n):
+    for _ in range(100):
         t = rng.uniform(0.0, 2.0 * math.pi)
         q = np.array([math.cos(t), math.sin(t)])
         qp = np.array([-q[1], q[0]])
         z = rng.integers(-4, 5, size=2)
         value, residual = free_harmonic_value(law, q, qp, z)
         worst = max(worst, abs(residual) - (1e-10 * abs(value) + 1e-12))
-    ok = worst <= 0.0
-    return CriterionResult(2, "free-walk linear-exponential harmonicity", ok,
-                           f"max tolerance excess {worst:.2e}", time.time() - t0)
+    return worst <= 0.0, f"max tolerance excess {worst:.2e}"
 
 
-def check_absorption_identity(domain: TruncatedDomain, seed: int,
-                              mc_samples: int, horizon: int) -> CriterionResult:
-    t0 = time.time()
-    tilts = _suite_tilts(domain.law, domain.cone)
+def check_absorption_identity(domain: TruncatedDomain, tilts, seed: int,
+                              mc_samples: int, horizon: int):
     states = domain.states.astype(float)
     worst_gap = -math.inf
     mc_notes = []
@@ -156,31 +156,26 @@ def check_absorption_identity(domain: TruncatedDomain, seed: int,
                             chk.mc_mean, chk.mc_stderr, chk.n,
                             chk.truncated_fraction))
     ok = worst_gap <= 1e-10 and mc_ok
-    return CriterionResult(3, "exit expectation equals tilted absorption", ok,
-                           f"max bracket gap {worst_gap:.2e}; " + "; ".join(mc_notes),
-                           time.time() - t0, extras={"mc_rows": mc_rows})
+    return (ok, f"max bracket gap {worst_gap:.2e}; " + "; ".join(mc_notes),
+            mc_rows)
 
 
-def check_harmonicity(domain: TruncatedDomain) -> CriterionResult:
-    t0 = time.time()
+def check_harmonicity(domain: TruncatedDomain, specs):
     details = []
     ok = True
-    for spec in _specs(domain.law, domain.cone):
-        h = build_h(spec, domain)
-        rep = harmonicity_residual(h)
+    for spec in specs:
+        rep = harmonicity_residual(build_h(spec, domain))
         ok = ok and rep.within(1e-8)
         details.append(f"{spec.branch}: excess {rep.relative_excess:.2e}")
-    return CriterionResult(4, "one-step harmonicity", ok, "; ".join(details),
-                           time.time() - t0)
+    return ok, "; ".join(details)
 
 
 def check_positivity_refinement(d_small: TruncatedDomain,
-                                d_large: TruncatedDomain) -> CriterionResult:
-    t0 = time.time()
+                                d_large: TruncatedDomain, specs):
     idx_large = np.array([d_large.index_of(z) for z in d_small.states])
     details = []
     ok = True
-    for spec in _specs(d_small.law, d_small.cone):
+    for spec in specs:
         h_small = build_h(spec, d_small)
         h_large = build_h(spec, d_large)
         neg = (check_positive(h_small).n_certified_negative
@@ -193,8 +188,7 @@ def check_positivity_refinement(d_small: TruncatedDomain,
         ok = ok and neg == 0 and shrinks
         details.append(f"{spec.branch}: negatives {neg}, "
                        f"inconclusive {inc_small}->{inc_large}")
-    return CriterionResult(5, "positivity and truncation refinement", ok,
-                           "; ".join(details), time.time() - t0)
+    return ok, "; ".join(details)
 
 
 def _is_quadrant(cone: ConeGeometry) -> bool:
@@ -202,65 +196,50 @@ def _is_quadrant(cone: ConeGeometry) -> bool:
     return dirs is not None and set(dirs) == {(0, 1), (1, 0)}
 
 
-def check_quadrant_reference(law: StepLaw, cone: ConeGeometry,
-                             radius: int = 24) -> CriterionResult:
-    t0 = time.time()
+def check_quadrant_reference(specs):
+    law, cone = specs[0].law, specs[0].cone
     if not _is_quadrant(cone):
-        return CriterionResult(6, "quadrant reference agreement", True,
-                               "skipped: cone is not the positive quadrant",
-                               time.time() - t0)
-    domain = build_domain(cone, law, radius)
+        return True, "skipped: cone is not the positive quadrant"
+    domain = build_domain(cone, law, 24)
     atoms = {k: float(v) for k, v in law.atoms.items()}
     worst = 0.0
-    for spec, wall in ((spec_for_endpoint(law, cone, 1), 1),
-                       (spec_for_endpoint(law, cone, 2), 2),
-                       (classify_spec(law, cone,
-                                      point_with_normal(law, _mid_direction(cone))),
-                        None)):
+    for spec in specs:
         h = build_h(spec, domain, delta_grid=DEFAULT_DELTA_GRID)
-        ref = reference_harmonic(atoms, tuple(spec.tilt.a), wall, radius,
+        ref = reference_harmonic(atoms, tuple(spec.tilt.a), spec.wall, 24,
                                  DEFAULT_DELTA_GRID)
         for z, (lo, hi) in ref.items():
             b = h.bracket(z)
             worst = max(worst, abs(b.lo - lo), abs(b.hi - hi))
-    ok = worst <= 1e-10
-    return CriterionResult(6, "quadrant reference agreement", ok,
-                           f"max deviation {worst:.2e}", time.time() - t0)
+    return worst <= 1e-10, f"max deviation {worst:.2e}"
 
 
-def check_endpoint_survival_decay(d100: TruncatedDomain) -> CriterionResult:
-    t0 = time.time()
+def check_endpoint_survival_decay(d100: TruncatedDomain, endpoint_specs):
     law, cone = d100.law, d100.cone
     details = []
     ok = True
-    for wall in (1, 2):
-        point = point_with_normal(law, cone.ray(wall))
-        probe = _wall_adjacent_probe(cone, wall)
+    for spec in endpoint_specs:
+        probe = _wall_adjacent_probe(cone, spec.wall)
         uppers = []
         for r in (50, 100, 200):
             domain = d100 if r == d100.radius else build_domain(cone, law, r)
-            s = survival_probability(domain, point)
+            s = survival_probability(domain, spec.tilt)
             uppers.append(s.bracket(probe).hi)
         decreasing = all(a > b for a, b in zip(uppers, uppers[1:]))
         small = uppers[-1] <= 0.1
         ok = ok and decreasing and small
-        details.append(f"wall {wall} at {probe}: "
+        details.append(f"wall {spec.wall} at {probe}: "
                        + "->".join(f"{u:.3f}" for u in uppers))
-    return CriterionResult(7, "endpoint survival upper bound decays", ok,
-                           "; ".join(details), time.time() - t0)
+    return ok, "; ".join(details)
 
 
-def check_cross_exit_bound(law: StepLaw, cone: ConeGeometry, seed: int,
-                           radius: int = 60, n: int = 20) -> CriterionResult:
-    t0 = time.time()
-    domain = build_domain(cone, law, radius)
+def check_cross_exit_bound(endpoint_specs, seed: int):
+    domain = build_domain(endpoint_specs[0].cone, endpoint_specs[0].law, 60)
     rng = np.random.default_rng(seed + 8)
-    interior = domain.states[np.abs(domain.states).max(axis=1) <= radius // 2]
+    interior = domain.states[np.abs(domain.states).max(axis=1) <= 30]
     ok = True
     worst = -math.inf
-    for wall in (1, 2):
-        spec = spec_for_endpoint(law, cone, wall)
-        for _ in range(n):
+    for spec in endpoint_specs:
+        for _ in range(20):
             delta = float(np.exp(rng.uniform(math.log(0.05), math.log(0.5))))
             z = interior[rng.integers(0, len(interior))]
             while True:
@@ -273,19 +252,17 @@ def check_cross_exit_bound(law: StepLaw, cone: ConeGeometry, seed: int,
             excess = res.term.hi - res.bound
             worst = max(worst, excess)
             ok = ok and excess <= 1e-10
-    return CriterionResult(8, "opposite-wall payoff bound", ok,
-                           f"max excess over bound {worst:.2e}", time.time() - t0)
+    return ok, f"max excess over bound {worst:.2e}"
 
 
 def check_bracket_invariants(d_small: TruncatedDomain,
-                             d_large: TruncatedDomain) -> CriterionResult:
-    t0 = time.time()
+                             d_large: TruncatedDomain, tilts):
     idx_large = np.array([d_large.index_of(z) for z in d_small.states])
     nest_worst = 0.0
     comp_worst = 0.0
     add_worst = 0.0
     single_wall_worst = -math.inf
-    for name, point in _suite_tilts(d_small.law, d_small.cone):
+    for name, point in tilts:
         scale_s = np.exp(-(d_small.states.astype(float) @ point.a))
         scale_l = np.exp(-(d_large.states.astype(float) @ point.a))
         u_s = exit_expectation(d_small, point)
@@ -313,24 +290,16 @@ def check_bracket_invariants(d_small: TruncatedDomain,
                            float((u2.hi * scale_s - 1.0).max()))
     ok = (nest_worst <= 1e-12 and comp_worst <= 1e-10
           and add_worst <= 1e-12 and single_wall_worst <= 1e-12)
-    return CriterionResult(
-        9, "bracket nesting, complementarity, additivity", ok,
-        f"nesting {nest_worst:.2e}, complement {comp_worst:.2e}, "
-        f"additivity {add_worst:.2e}, single-wall cap {single_wall_worst:.2e}",
-        time.time() - t0)
+    return ok, (f"nesting {nest_worst:.2e}, complement {comp_worst:.2e}, "
+                f"additivity {add_worst:.2e}, "
+                f"single-wall cap {single_wall_worst:.2e}")
 
 
-def check_local_irreducibility(law: StepLaw, cone: ConeGeometry,
-                               region_radius: int = 40,
-                               r_max: int = 8) -> CriterionResult:
-    t0 = time.time()
-    scan = local_irreducibility_scan(law, cone, r_max=r_max,
-                                     region_radius=region_radius)
-    detail = (f"max minimal ball radius {scan.max_min_radius} over "
-              f"{scan.n_checked} unit moves" if scan.ok
-              else f"failed move {scan.witness}")
-    return CriterionResult(10, "local unit-move connectivity", scan.ok, detail,
-                           time.time() - t0)
+def check_local_irreducibility(law: StepLaw, cone: ConeGeometry):
+    scan = local_irreducibility_scan(law, cone, r_max=8, region_radius=40)
+    return scan.ok, (f"max minimal ball radius {scan.max_min_radius} over "
+                     f"{scan.n_checked} unit moves" if scan.ok
+                     else f"failed move {scan.witness}")
 
 
 # -- the full per-model suite -------------------------------------------------
@@ -338,21 +307,36 @@ def check_local_irreducibility(law: StepLaw, cone: ConeGeometry,
 
 def run_model_suite(cfg, mc_samples: int = 100_000,
                     horizon: int = 10_000) -> list[CriterionResult]:
-    """Run all ten checks for one parsed model config."""
+    """Run all ten checks for one parsed model config, in order."""
     law, cone, seed = cfg.law, cfg.cone, cfg.seed
-    results = [
-        check_normal_map_roundtrip(law),
-        check_free_harmonic(law, seed),
-    ]
+    specs = [spec_for_endpoint(law, cone, 1), spec_for_endpoint(law, cone, 2),
+             spec_for_direction(law, cone, _mid_direction(cone))]
+    tilts = _suite_tilts(law, specs)
     d100 = build_domain(cone, law, 100)
     d150 = build_domain(cone, law, 150)
-    results.append(check_absorption_identity(d100, seed, mc_samples, horizon))
-    results.append(check_harmonicity(d150))
-    results.append(check_positivity_refinement(d100, d150))
-    results.append(check_quadrant_reference(law, cone))
-    results.append(check_endpoint_survival_decay(d100))
-    results.append(check_cross_exit_bound(law, cone, seed))
-    results.append(check_bracket_invariants(d100, d150))
-    results.append(check_local_irreducibility(law, cone))
-    results.sort(key=lambda r: r.number)
+    inputs = ((law,), (law, seed), (d100, tilts, seed, mc_samples, horizon),
+              (d150, specs), (d100, d150, specs), (specs,), (d100, specs[:2]),
+              (specs[:2], seed), (d100, d150, tilts), (law, cone))
+    results = []
+    for number, ((check, name), args) in enumerate(zip(CRITERIA, inputs), start=1):
+        t0 = time.perf_counter()
+        passed, detail, *mc_rows = globals()[check](*args)
+        results.append(CriterionResult(number, name, passed, detail,
+                                       time.perf_counter() - t0, *mc_rows))
     return results
+
+
+def overshoot_rows(cfg) -> list[tuple]:
+    """Overshoot-moment estimate rows at both endpoint tilts, from a state
+    next to each wall; empty for a cone without rational wall normals."""
+    if not cfg.cone.is_exact:
+        return []
+    rows = []
+    for wall in (1, 2):
+        probe = _wall_adjacent_probe(cfg.cone, wall, depth=8.0)
+        est = overshoot_moment(cfg.law, cfg.cone, wall, probe,
+                               horizon=200_000, n=500,
+                               rng=RngSpec(cfg.seed, 90 + wall))
+        rows.append(("overshoot_moment", f"wall={wall} z={probe} horizon=200000",
+                     est.mean, est.stderr, est.n, est.truncated_fraction))
+    return rows

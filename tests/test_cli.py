@@ -121,6 +121,26 @@ atom 0 -1 0.25
         assert len(err) == 1
         assert err[0].startswith("invalid input: ")
 
+    @pytest.mark.parametrize("old,new,field", [
+        ("atom 0 -1 0.1", "atom 1 0 0.1", "atom"),
+        ("atom 0 -1 0.1", "atom 0 -1 0\natom 0 -2 0.1", "atom"),
+        ("atom 0 -1 0.1", "atom 0 -1 0.1000000000002", "atom"),
+        ("atom 0 -1 0.1", "atom 0 -1 nan", "atom"),
+        ("cone_dirs 0 1 1 0", "cone_dirs 0 0 1 0", "cone_dirs"),
+        ("cone_dirs 0 1 1 0", "cone_dirs 1 0 2 0", "cone_dirs"),
+        ("cone_dirs 0 1 1 0", "cone_angles 10 10", "cone_angles"),
+        ("cone_dirs 0 1 1 0", "cone_angles nan 90", "cone_angles"),
+    ], ids=["duplicate-atom", "zero-probability", "sum-off-by-2e-13",
+            "nan-probability", "zero-ray", "collinear-rays",
+            "equal-angles", "nan-angle"])
+    def test_bad_model_exits_3_with_one_line(self, tmp_path, capsys, old,
+                                             new, field):
+        path = write_config(tmp_path, GOOD_CONFIG.replace(old, new))
+        assert main(["--config", str(path), "validate"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: field '{field}': ")
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conewalk import WhichBoundary, build_cone, build_cone_from_angles
+from conewalk import build_cone, build_cone_from_angles
 
 
 class TestBuild:
@@ -50,17 +50,17 @@ class TestMembership:
         assert not cone45.contains((4, 0))  # on the x-axis ray
 
     def test_which_boundary(self, quadrant_cone):
-        assert quadrant_cone.which_boundary((-1, 3)) is WhichBoundary.H1
-        assert quadrant_cone.which_boundary((3, -1)) is WhichBoundary.H2
-        assert quadrant_cone.which_boundary((-1, -1)) is WhichBoundary.BOTH
-        assert quadrant_cone.which_boundary((2, 2)) is WhichBoundary.NONE
+        bad1, bad2 = quadrant_cone.wall_violations(
+            np.array([(-1, 3), (3, -1), (-1, -1), (2, 2)]))
+        assert bad1.tolist() == [True, False, True, False]
+        assert bad2.tolist() == [False, True, True, False]
 
     def test_which_boundary_consistent_with_contains(self, cone45):
         rng = np.random.default_rng(0)
         pts = rng.integers(-20, 21, size=(500, 2))
-        for z in pts:
-            inside = cone45.contains(z)
-            assert inside == (cone45.which_boundary(z) is WhichBoundary.NONE)
+        bad1, bad2 = cone45.wall_violations(pts)
+        for z, b1, b2 in zip(pts, bad1, bad2):
+            assert cone45.contains(z) == (not b1 and not b2)
 
     def test_contains_array_agrees_with_scalar(self, cone45):
         rng = np.random.default_rng(1)

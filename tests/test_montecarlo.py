@@ -12,7 +12,7 @@ from conewalk import (NonConvergenceError, RngSpec, StepLaw,
                       build_cone_from_angles, build_domain, interior_minimum,
                       local_irreducibility_scan,
                       martin_ratio_table, overshoot_moment, point_with_normal,
-                      sample_exit, tilt_point)
+                      tilt_point)
 from conewalk import montecarlo
 from conewalk.montecarlo import BUDGET, _atom_index, _simulate_batch
 
@@ -41,39 +41,49 @@ def finite_horizon_exit_probability(law, cone, a, z0, horizon):
     return exited
 
 
+def one_path(tilted, cone, z0, horizon, rng):
+    """Code, step count and exit point of one path, without early stop."""
+    which, steps, pts = _simulate_batch(tilted, cone, z0, horizon,
+                                        rng.generator(), 1, early_stop=False)
+    return int(which[0]), int(steps[0]), (int(pts[0, 0]), int(pts[0, 1]))
+
+
 class TestSampling:
     def test_replay_is_identical(self, law4, quadrant_cone):
         t = law4.tilt((0.0, 0.0))
-        r1 = sample_exit(t, quadrant_cone, (3, 3), 500, RngSpec(7, 3))
-        r2 = sample_exit(t, quadrant_cone, (3, 3), 500, RngSpec(7, 3))
+        r1 = one_path(t, quadrant_cone, (3, 3), 500, RngSpec(7, 3))
+        r2 = one_path(t, quadrant_cone, (3, 3), 500, RngSpec(7, 3))
         assert r1 == r2
 
     def test_different_streams_differ(self, law4, quadrant_cone):
         t = law4.tilt((0.0, 0.0))
-        records = [sample_exit(t, quadrant_cone, (2, 2), 2000, RngSpec(7, s))
+        records = [one_path(t, quadrant_cone, (2, 2), 2000, RngSpec(7, s))
                    for s in range(20)]
-        assert len({(r.which, r.steps) for r in records}) > 1
+        assert len({(code, steps) for code, steps, _ in records}) > 1
 
     def test_start_outside_exits_immediately(self, law4, quadrant_cone):
         t = law4.tilt((0.0, 0.0))
-        r = sample_exit(t, quadrant_cone, (-2, 3), 100, RngSpec(1, 0))
-        assert r.steps == 0
-        assert r.which == "wall1"
-        assert r.exit_point == (-2, 3)
+        code, steps, point = one_path(t, quadrant_cone, (-2, 3), 100,
+                                      RngSpec(1, 0))
+        assert steps == 0
+        assert code == 1  # wall 1
+        assert point == (-2, 3)
 
     def test_guard_band_exit_keeps_its_wall(self, law4):
         # (1, 1) lies on wall 1 up to rounding, inside the guard band.
         cone = build_cone_from_angles(45.0, 105.0)
-        r = sample_exit(law4.tilt((0.0, 0.0)), cone, (1, 1), 10, RngSpec(1, 0))
-        assert r.steps == 0
-        assert r.which == "wall1"
+        code, steps, _ = one_path(law4.tilt((0.0, 0.0)), cone, (1, 1), 10,
+                                  RngSpec(1, 0))
+        assert steps == 0
+        assert code == 1
 
     def test_horizon_record_has_no_exit_point(self, law4, quadrant_cone):
         t = law4.tilt((0.0, 0.0))
-        r = sample_exit(t, quadrant_cone, (50, 50), 3, RngSpec(1, 1))
-        assert r.which == "horizon"
-        assert r.exit_point is None
-        assert r.steps == 3
+        code, steps, point = one_path(t, quadrant_cone, (50, 50), 3,
+                                      RngSpec(1, 1))
+        assert code == 0  # horizon
+        assert point == (0, 0)  # points hold cone exits only
+        assert steps == 3
 
     def test_kill_events_recorded_for_substochastic_tilt(self, law4,
                                                          quadrant_cone):

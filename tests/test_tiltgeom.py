@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conewalk import (DeltaTooLargeError, NoIntersectionError, StepLaw,
-                      boundary_arc, boundary_polyline, boundary_shift,
+                      boundary_arc, boundary_polyline,
                       epsilon_for_delta, interior_minimum, normal_direction,
                       point_with_normal, tilt_point, wall_decay_exponent)
 from conewalk.tiltgeom import (_point_with_normal_bisect, as_tilt_point,
@@ -157,11 +157,15 @@ class TestBoundaryArc:
 
 
 class TestBoundaryShift:
+    """``epsilon_for_delta`` at ``delta = 0``: the smallest ``lam >= 0``
+    with ``mgf(a - lam*f) = 1``."""
+
     def test_on_boundary_returns_zero(self, law4):
         p = point_with_normal(law4, (1.0, 0.0))
         f = np.array([1.0, 0.0])
         assert law4.mgf_grad(p.a) @ f > 0
-        assert boundary_shift(law4, p.a, f) == 0.0
+        assert abs(law4.mgf(p.a) - 1.0) <= 1e-13
+        assert epsilon_for_delta(law4, p.a, 0.0, f, f) == 0.0
 
     def test_interior_start_matches_bisection_oracle(self, law4, law5):
         rng = np.random.default_rng(9)
@@ -172,7 +176,7 @@ class TestBoundaryShift:
                 a = rng.uniform(0.2, 0.9) * a_bd
                 phi = rng.uniform(0, 2 * math.pi)
                 f = np.array([math.cos(phi), math.sin(phi)])
-                lam = boundary_shift(law, a, f)
+                lam = epsilon_for_delta(law, a, 0.0, f, f)
                 assert lam > 0.0
                 assert abs(law.mgf(a - lam * f) - 1.0) <= 1e-12
                 # Independent scalar bisection along the same ray.
@@ -194,12 +198,12 @@ class TestBoundaryShift:
         assert law4.mgf(a) > 1.0
         f = -np.array([1.0, 1.0]) / math.sqrt(2)  # ray moves further out
         with pytest.raises(NoIntersectionError):
-            boundary_shift(law4, a, f)
+            epsilon_for_delta(law4, a, 0.0, f, f)
 
     def test_outside_start_crossing_returns_smallest_root(self, law4):
         a = np.array([1.2, 1.2])
         f = np.array([1.0, 1.0]) / math.sqrt(2)
-        lam = boundary_shift(law4, a, f)
+        lam = epsilon_for_delta(law4, a, 0.0, f, f)
         assert lam > 0.0
         assert abs(law4.mgf(a - lam * f) - 1.0) <= 1e-12
         # Smallest root: slightly shorter shifts stay outside.
