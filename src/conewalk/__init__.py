@@ -24,22 +24,22 @@ from .solver import (Bracket, HarmonicField, ResidualReport, TruncatedDomain,
                      build_domain, exit_expectation, green_column,
                      harmonicity_residual, survival_probability)
 from .steplaw import ModelReport, StepLaw, TiltedLaw, validate_model
-from .tiltgeom import (BoundaryArc, TiltPoint, boundary_arc, boundary_polyline,
-                       epsilon_for_delta, interior_minimum,
-                       largest_level_shift, normal_direction,
-                       point_with_normal, tilt_point, wall_decay_exponent)
+from .tiltgeom import (TiltPoint, boundary_polyline, epsilon_for_delta,
+                       interior_minimum, largest_level_shift,
+                       normal_direction, point_with_normal, tilt_point,
+                       wall_decay_exponent)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbsorptionCheck", "BoundaryArc", "Bracket", "ConeGeometry",
+    "AbsorptionCheck", "Bracket", "ConeGeometry",
     "ConewalkError", "ConnectivityScan", "CrossExitBound",
     "DeltaTooLargeError", "DomainSizeError", "HarmonicField",
     "HarmonicSpec", "MartinRow", "MCEstimate", "ModelReport",
     "NoIntersectionError", "NonConvergenceError", "PositivityReport",
     "RangeOverflowError", "ResidualReport", "RngSpec", "StepLaw",
     "TiltPoint", "TiltedLaw", "TruncatedDomain", "ZeroGradientError",
-    "absorption_crosscheck", "boundary_arc", "boundary_polyline",
+    "absorption_crosscheck", "boundary_polyline",
     "build_cone", "build_cone_from_angles", "build_domain", "build_h",
     "check_positive", "classify_spec", "cross_exit_bound",
     "epsilon_for_delta", "exit_expectation", "free_harmonic_value",

@@ -32,8 +32,8 @@ from .harmonic import build_h, check_positive, spec_for_direction, spec_for_endp
 from .montecarlo import martin_ratio_table
 from .solver import build_domain, harmonicity_residual
 from .steplaw import StepLaw, validate_model
-from .tiltgeom import (ANGLE_TOL, CLASSIFY_TOL, LEVEL_TOL, boundary_arc,
-                       boundary_polyline, normal_direction)
+from .tiltgeom import (ANGLE_TOL, CLASSIFY_TOL, LEVEL_TOL, boundary_polyline,
+                       normal_direction)
 
 TOLERANCE_LADDER = (f"level_residual={LEVEL_TOL:g} angular={ANGLE_TOL:g} "
                     f"boundary_classify={CLASSIFY_TOL:g}")
@@ -186,13 +186,12 @@ def cmd_validate(cfg: ModelConfig, args) -> int:
 def cmd_boundary(cfg: ModelConfig, args) -> int:
     n = 64 if args.samples is None else args.samples
     rows = boundary_polyline(cfg.law, n)
-    arc = boundary_arc(cfg.law, cfg.cone)
     comments = []
-    for label, ep, ray in (("arc_endpoint_1", arc.endpoint1, cfg.cone.c1),
-                           ("arc_endpoint_2", arc.endpoint2, cfg.cone.c2)):
-        q = normal_direction(cfg.law, ep)
-        ang = _angle_between(q, ray)
-        comments.append(f"{label} a=({ep.a[0]:.17g},{ep.a[1]:.17g}) "
+    for wall in (1, 2):
+        ep = spec_for_endpoint(cfg.law, cfg.cone, wall).tilt
+        ang = _angle_between(normal_direction(cfg.law, ep), cfg.cone.ray(wall))
+        comments.append(f"arc_endpoint_{wall} "
+                        f"a=({ep.a[0]:.17g},{ep.a[1]:.17g}) "
                         f"level_residual={ep.value - 1.0:.3e} "
                         f"normal_residual={ang:.3e}")
     out = _out_dir(args) / f"{cfg.name}_boundary.csv"

@@ -108,10 +108,6 @@ class ConeGeometry:
         v = np.asarray(q, dtype=float)
         return bool(self.f1 @ v >= -tol and self.f2 @ v >= -tol)
 
-    def direction_strictly_inside(self, q, tol: float = 1e-8) -> bool:
-        v = np.asarray(q, dtype=float)
-        return bool(self.f1 @ v > tol and self.f2 @ v > tol)
-
 
 def _build(c1: np.ndarray, c2: np.ndarray,
            exact: tuple[tuple[int, int], tuple[int, int]] | None) -> ConeGeometry:

@@ -39,13 +39,17 @@ BRANCH_WARN_FACTOR = 10.0
 
 @dataclass(frozen=True)
 class HarmonicSpec:
-    """A boundary tilt together with its branch of the construction."""
+    """A solved boundary tilt together with its cone and its branch of the
+    construction; the step law is the one the tilt was solved for."""
 
-    law: StepLaw
     cone: ConeGeometry
     tilt: TiltPoint
     branch: str  # "endpoint_wall1" | "endpoint_wall2" | "interior"
     warning: str | None = None
+
+    @property
+    def law(self) -> StepLaw:
+        return self.tilt.law
 
     @property
     def wall(self) -> int | None:
@@ -85,8 +89,7 @@ def classify_spec(law: StepLaw, cone: ConeGeometry, a) -> HarmonicSpec:
         if near <= BRANCH_WARN_FACTOR * BRANCH_ANGLE_TOL:
             warning = (f"normal is within {near:.2e} rad of a boundary ray; "
                        "branch selection is borderline")
-    return HarmonicSpec(law=law, cone=cone, tilt=point, branch=branch,
-                        warning=warning)
+    return HarmonicSpec(cone=cone, tilt=point, branch=branch, warning=warning)
 
 
 def spec_for_direction(law: StepLaw, cone: ConeGeometry, q) -> HarmonicSpec:
@@ -113,8 +116,7 @@ def _check_model(spec: HarmonicSpec, domain: TruncatedDomain) -> None:
         raise ValueError("domain was built for a different cone")
 
 
-def build_h(spec: HarmonicSpec, domain: TruncatedDomain,
-            delta_grid=DEFAULT_DELTA_GRID) -> HarmonicField:
+def build_h(spec: HarmonicSpec, domain: TruncatedDomain) -> HarmonicField:
     """Assemble the harmonic function's brackets on a truncated domain,
     which must have been built for the spec's law and cone.
 
@@ -126,15 +128,12 @@ def build_h(spec: HarmonicSpec, domain: TruncatedDomain,
     av = spec.tilt.a
     z = domain.states.astype(float)
     e_az = np.exp(z @ av)
+    payoff = "exp" if spec.wall is None else f"linear_wall{spec.wall}"
+    u = exit_expectation(domain, spec.tilt, payoff=payoff)
+    # The lead term is formed after the solve, off the solve's peak memory.
     if spec.wall is None:
-        u = exit_expectation(domain, spec.tilt, payoff="exp",
-                             restriction="all_exits", delta_grid=delta_grid)
-        lead = e_az
-        kind = "harmonic_interior"
+        lead, kind = e_az, "harmonic_interior"
     else:
-        payoff = f"linear_wall{spec.wall}"
-        u = exit_expectation(domain, spec.tilt, payoff=payoff,
-                             restriction="all_exits", delta_grid=delta_grid)
         lead = (z @ spec.cone.normal(spec.wall)) * e_az
         kind = f"harmonic_wall{spec.wall}"
     lo = lead - u.hi
@@ -145,21 +144,20 @@ def build_h(spec: HarmonicSpec, domain: TruncatedDomain,
 
 @dataclass
 class PositivityReport:
-    """Three-way positivity classification of a harmonic field."""
+    """Three-way positivity classification of a harmonic field; at most
+    the first 20 certified-negative states are listed."""
 
-    n_states: int
     n_certified_positive: int
     n_inconclusive: int
     n_certified_negative: int
     negative_states: list[tuple[int, int]]
-    inconclusive_sample: list[tuple[int, int]]
 
     @property
     def clean(self) -> bool:
         return self.n_certified_negative == 0
 
 
-def check_positive(h: HarmonicField, sample_cap: int = 20) -> PositivityReport:
+def check_positive(h: HarmonicField) -> PositivityReport:
     """Classify each state: certified positive, inconclusive, or negative.
 
     A state is certified positive when its lower bracket is strictly
@@ -169,17 +167,12 @@ def check_positive(h: HarmonicField, sample_cap: int = 20) -> PositivityReport:
     """
     pos = h.lo > 0.0
     neg = h.hi < 0.0
-    inconc = ~pos & ~neg
-    states = h.domain.states
-    negative = [(int(x), int(y)) for x, y in states[neg][:sample_cap]]
-    sample = [(int(x), int(y)) for x, y in states[inconc][:sample_cap]]
     return PositivityReport(
-        n_states=h.domain.n_states,
         n_certified_positive=int(pos.sum()),
-        n_inconclusive=int(inconc.sum()),
+        n_inconclusive=int((~pos & ~neg).sum()),
         n_certified_negative=int(neg.sum()),
-        negative_states=negative,
-        inconclusive_sample=sample,
+        negative_states=[(int(x), int(y))
+                         for x, y in h.domain.states[neg][:20]],
     )
 
 
@@ -215,8 +208,7 @@ class CrossExitBound:
 
 
 def cross_exit_bound(spec: HarmonicSpec, domain: TruncatedDomain, z,
-                     delta: float,
-                     delta_grid=DEFAULT_DELTA_GRID) -> CrossExitBound:
+                     delta: float) -> CrossExitBound:
     """Bound the payoff collected through the opposite wall, on a domain
     built for the spec's law and cone.
 
@@ -239,10 +231,9 @@ def cross_exit_bound(spec: HarmonicSpec, domain: TruncatedDomain, z,
     f_i = spec.cone.normal(i)
     f_j = spec.cone.normal(j)
     eps = epsilon_for_delta(spec.law, spec.tilt, delta, f_i, f_j)
-    grid = tuple(delta_grid) + (delta,)
     u = exit_expectation(domain, spec.tilt, payoff=f"linear_wall{i}",
                          restriction=f"only_wall{j}_first",
-                         delta_grid=grid)
+                         delta_grid=DEFAULT_DELTA_GRID + (delta,))
     b = u.bracket(z)
     zv = np.asarray(z, dtype=float)
     scale = math.exp(-float(spec.tilt.a @ zv))

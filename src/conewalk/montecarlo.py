@@ -1,6 +1,7 @@
 """Simulation of tilted walks: exit sampling, absorption cross-checks
-against the lattice solver, overshoot moments of the projected walk at an
-endpoint tilt, and Green-ratio tables for Martin-kernel experiments.
+against the lattice solver, overshoot moments of the projected walk at the
+tilt of an endpoint spec (``overshoot_moment(spec, z0, horizon, n, rng)``),
+and Green-ratio tables for Martin-kernel experiments.
 
 Every simulated path runs through one block-stepped kernel, driven by a
 counter-based generator keyed on ``(seed, stream_id)``, so every estimate is
@@ -18,8 +19,8 @@ import numpy as np
 from .cone import ConeGeometry
 from .solver import Bracket, TruncatedDomain, exit_expectation, green_column
 from .steplaw import LatticePoint, StepLaw, TiltedLaw
-from .tiltgeom import as_tilt_point, point_with_normal, wall_decay_exponent
-from .harmonic import build_h, spec_for_direction
+from .tiltgeom import as_tilt_point, wall_decay_exponent
+from .harmonic import HarmonicSpec, build_h, spec_for_direction
 
 #: Paths are declared safe from ever exiting once both wall distances give
 #: an escape bound below this mass; the resolved bias is folded into the
@@ -221,24 +222,27 @@ def absorption_crosscheck(domain: TruncatedDomain, a, z0, horizon: int,
                            upper_ok=upper_ok, lower_ok=lower_ok)
 
 
-def overshoot_moment(law: StepLaw, cone: ConeGeometry, wall: int, z0,
-                     horizon: int, n: int, rng: RngSpec) -> MCEstimate:
+def overshoot_moment(spec: HarmonicSpec, z0, horizon: int, n: int,
+                     rng: RngSpec) -> MCEstimate:
     """Mean overshoot below zero of the projected tilted walk at an endpoint.
 
-    At the endpoint tilt of ``wall`` the projection of the tilted walk on
-    the wall's inward normal is an exactly mean-zero one-dimensional walk.
-    This runs the planar walk under the normalised tilted law through the
-    sampling kernel, stopped only on its first step on or beyond ``wall``
-    (the projection's first entry into the nonpositive half-line), and
-    averages the overshoot magnitude in the normal's real units.  The
-    mean-zero precondition is asserted before sampling; horizon-censored
-    paths show up in ``truncated_fraction``.
+    ``spec`` is an endpoint spec, as ``spec_for_endpoint`` builds it: the
+    law, the cone, the wall and the solved endpoint tilt are read from it.
+    At that tilt the projection of the tilted walk on the wall's inward
+    normal is an exactly mean-zero one-dimensional walk.  This runs the
+    planar walk under the normalised tilted law through the sampling
+    kernel, stopped only on its first step on or beyond the wall (the
+    projection's first entry into the nonpositive half-line), and averages
+    the overshoot magnitude in the normal's real units.  The mean-zero
+    precondition is asserted before sampling; horizon-censored paths show
+    up in ``truncated_fraction``.
     """
-    if wall not in (1, 2):
-        raise ValueError("wall must be 1 or 2")
-    point = point_with_normal(law, cone.ray(wall))
+    wall = spec.wall
+    if wall is None:
+        raise ValueError("overshoot sampling needs an endpoint-branch spec")
+    law, cone = spec.law, spec.cone
     f = cone.normal(wall)
-    tilted = law.tilt(point.a)
+    tilted = law.tilt(spec.tilt.a)
     proj_mean = float(f @ tilted.normalized_drift())
     if abs(proj_mean) > 1e-10:
         raise ValueError(

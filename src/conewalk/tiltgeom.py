@@ -6,7 +6,9 @@ normalised gradient is a homeomorphism from the boundary onto the unit
 circle.  This module solves the two directions of that map, locates level
 crossings along rays (used for the opposite-wall offsets and for the
 certified truncation bounds of the lattice solver), and packages boundary
-points as :class:`TiltPoint` values.
+points as :class:`TiltPoint` values.  Which boundary points have normals
+in a cone's sector, and on which branch, is decided once, by
+``harmonic.classify_spec``; the spec it returns carries the solved point.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import ConeGeometry, _angle_between
+from .cone import _angle_between
 from .errors import (DeltaTooLargeError, NoIntersectionError,
                      NonConvergenceError, RangeOverflowError, ZeroGradientError)
 from .steplaw import StepLaw
@@ -400,42 +402,6 @@ def _point_with_normal_bisect(law: StepLaw, q: np.ndarray) -> np.ndarray:
     a = boundary_at(0.5 * (lo + hi))
     lam = float(np.linalg.norm(law.mgf_grad(a)))
     return np.array([a[0], a[1], lam])
-
-
-@dataclass(frozen=True)
-class BoundaryArc:
-    """The boundary piece whose normals point into the cone's sector."""
-
-    law: StepLaw
-    cone: ConeGeometry
-    endpoint1: TiltPoint
-    endpoint2: TiltPoint
-
-    def contains(self, a, tol: float = 1e-9) -> bool:
-        """True iff ``a`` is on the level-set boundary with normal in the sector."""
-        point = as_tilt_point(self.law, a)
-        if not point.on_boundary:
-            return False
-        q = normal_direction(self.law, point)
-        return self.cone.direction_in_sector(q, tol=tol)
-
-    def strictly_contains(self, a, tol: float = ANGLE_TOL) -> bool:
-        """True iff the normal at ``a`` points strictly inside the sector."""
-        point = as_tilt_point(self.law, a)
-        if not point.on_boundary:
-            return False
-        q = normal_direction(self.law, point)
-        return self.cone.direction_strictly_inside(q, tol=tol)
-
-
-def boundary_arc(law: StepLaw, cone: ConeGeometry) -> BoundaryArc:
-    """Endpoints of the arc: the boundary points with normals ``c1`` and ``c2``."""
-    return BoundaryArc(
-        law=law,
-        cone=cone,
-        endpoint1=point_with_normal(law, cone.c1),
-        endpoint2=point_with_normal(law, cone.c2),
-    )
 
 
 def boundary_polyline(law: StepLaw, n: int) -> np.ndarray:

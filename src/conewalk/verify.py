@@ -204,7 +204,7 @@ def check_quadrant_reference(specs):
     atoms = {k: float(v) for k, v in law.atoms.items()}
     worst = 0.0
     for spec in specs:
-        h = build_h(spec, domain, delta_grid=DEFAULT_DELTA_GRID)
+        h = build_h(spec, domain)
         ref = reference_harmonic(atoms, tuple(spec.tilt.a), spec.wall, 24,
                                  DEFAULT_DELTA_GRID)
         for z, (lo, hi) in ref.items():
@@ -334,8 +334,8 @@ def overshoot_rows(cfg) -> list[tuple]:
     rows = []
     for wall in (1, 2):
         probe = _wall_adjacent_probe(cfg.cone, wall, depth=8.0)
-        est = overshoot_moment(cfg.law, cfg.cone, wall, probe,
-                               horizon=200_000, n=500,
+        est = overshoot_moment(spec_for_endpoint(cfg.law, cfg.cone, wall),
+                               probe, horizon=200_000, n=500,
                                rng=RngSpec(cfg.seed, 90 + wall))
         rows.append(("overshoot_moment", f"wall={wall} z={probe} horizon=200000",
                      est.mean, est.stderr, est.n, est.truncated_fraction))

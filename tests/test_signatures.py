@@ -1,11 +1,20 @@
-"""A computation on a truncated domain reads its law and cone from the
-domain; no public function may take them a second time beside it."""
+"""A computation reads its model from the one record that carries it.
 
+On a truncated domain the law and cone come from the domain, and for a
+solved boundary tilt the law, cone and wall come from its
+:class:`HarmonicSpec`; no public function may take them a second time
+beside either, nor name a wall of a law and cone instead of taking the
+endpoint spec.
+"""
+
+import dataclasses
 import inspect
 
 import pytest
 
 from conewalk import harmonic, montecarlo, solver, verify
+from conewalk.harmonic import (HarmonicSpec, spec_for_direction,
+                               spec_for_endpoint)
 from conewalk.solver import TruncatedDomain
 
 
@@ -22,9 +31,9 @@ def _public_functions(mod):
                     yield f"{name}.{meth}", fn
 
 
-def _takes_domain(param) -> bool:
+def _takes(param, cls) -> bool:
     ann = param.annotation
-    return ann is TruncatedDomain or TruncatedDomain in getattr(ann, "__args__", ())
+    return ann is cls or cls in getattr(ann, "__args__", ())
 
 
 @pytest.mark.parametrize("mod", [solver, harmonic, montecarlo, verify],
@@ -33,8 +42,33 @@ def test_no_model_beside_a_domain(mod):
     doubled = []
     for name, fn in _public_functions(mod):
         params = inspect.signature(fn, eval_str=True).parameters.values()
-        if any(_takes_domain(p) for p in params):
+        if any(_takes(p, TruncatedDomain) for p in params):
             extra = {p.name for p in params} & {"law", "cone"}
             if extra:
                 doubled.append(f"{name} takes {sorted(extra)}")
     assert not doubled
+
+
+@pytest.mark.parametrize("mod", [harmonic, montecarlo, verify],
+                         ids=lambda m: m.__name__)
+def test_no_model_beside_a_spec(mod):
+    doubled = []
+    for name, fn in _public_functions(mod):
+        params = inspect.signature(fn, eval_str=True).parameters.values()
+        names = {p.name for p in params}
+        if any(_takes(p, HarmonicSpec) for p in params):
+            extra = names & {"law", "cone", "wall"}
+            if extra:
+                doubled.append(f"{name} takes {sorted(extra)}")
+        elif {"law", "cone", "wall"} <= names and fn is not spec_for_endpoint:
+            doubled.append(f"{name} solves an endpoint tilt a spec carries")
+    assert not doubled
+
+
+def test_spec_reads_its_law_from_its_tilt(law5, quadrant_cone):
+    for spec in (spec_for_endpoint(law5, quadrant_cone, 1),
+                 spec_for_direction(law5, quadrant_cone, (1.0, 1.0))):
+        assert spec.law is spec.tilt.law
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.law = law5
+    assert "law" not in {f.name for f in dataclasses.fields(HarmonicSpec)}

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conewalk import (DeltaTooLargeError, NoIntersectionError, StepLaw,
-                      boundary_arc, boundary_polyline,
-                      epsilon_for_delta, interior_minimum, normal_direction,
-                      point_with_normal, tilt_point, wall_decay_exponent)
+                      boundary_polyline, classify_spec, epsilon_for_delta,
+                      interior_minimum, normal_direction, point_with_normal,
+                      spec_for_endpoint, tilt_point, wall_decay_exponent)
 from conewalk.tiltgeom import (_point_with_normal_bisect, as_tilt_point,
                                largest_level_shift)
 
@@ -124,36 +124,39 @@ def _count_mgf_evals(monkeypatch) -> list:
 
 
 class TestBoundaryArc:
+    """The boundary arc whose normals lie in the cone's sector, as
+    ``classify_spec`` decides it: its endpoints are the endpoint specs'
+    tilts, and a tilt off the arc is rejected."""
+
     def test_endpoints_have_ray_normals(self, law4, quadrant_cone):
-        arc = boundary_arc(law4, quadrant_cone)
-        q1 = normal_direction(law4, arc.endpoint1)
-        q2 = normal_direction(law4, arc.endpoint2)
-        assert np.allclose(q1, quadrant_cone.c1, atol=1e-8)
-        assert np.allclose(q2, quadrant_cone.c2, atol=1e-8)
+        for wall in (1, 2):
+            ep = spec_for_endpoint(law4, quadrant_cone, wall).tilt
+            assert np.allclose(normal_direction(law4, ep),
+                               quadrant_cone.ray(wall), atol=1e-8)
 
     def test_symmetric_law_gives_mirror_endpoints(self, law4, quadrant_cone):
-        arc = boundary_arc(law4, quadrant_cone)
-        assert np.allclose(arc.endpoint1.a, arc.endpoint2.a[::-1], atol=1e-10)
+        ep1 = spec_for_endpoint(law4, quadrant_cone, 1).tilt
+        ep2 = spec_for_endpoint(law4, quadrant_cone, 2).tilt
+        assert np.allclose(ep1.a, ep2.a[::-1], atol=1e-10)
 
     def test_membership(self, law4, quadrant_cone):
-        arc = boundary_arc(law4, quadrant_cone)
         origin = tilt_point(law4, (0.0, 0.0))  # normal is the drift direction
-        assert arc.contains(origin)
-        assert arc.strictly_contains(origin)
-        assert arc.contains(arc.endpoint1)
-        assert not arc.strictly_contains(arc.endpoint1)
+        assert classify_spec(law4, quadrant_cone, origin).branch == "interior"
+        ep1 = spec_for_endpoint(law4, quadrant_cone, 1).tilt
+        assert (classify_spec(law4, quadrant_cone, ep1).branch
+                == "endpoint_wall1")
         outside = point_with_normal(law4, (-1.0, 0.0))
-        assert not arc.contains(outside)
+        with pytest.raises(ValueError, match="outside the cone's sector"):
+            classify_spec(law4, quadrant_cone, outside)
         inside_but_off_boundary = tilt_point(law4, (-0.3, -0.1))
-        assert not arc.contains(inside_but_off_boundary)
+        with pytest.raises(ValueError, match="not on the level-set boundary"):
+            classify_spec(law4, quadrant_cone, inside_but_off_boundary)
 
     def test_tilt_point_of_another_law_rejected(self, law4, law5,
                                                 quadrant_cone):
-        arc = boundary_arc(law4, quadrant_cone)
         point = point_with_normal(law5, (1.0, 1.0))
-        for member in (arc.contains, arc.strictly_contains):
-            with pytest.raises(ValueError, match="different step law"):
-                member(point)
+        with pytest.raises(ValueError, match="different step law"):
+            classify_spec(law4, quadrant_cone, point)
 
 
 class TestBoundaryShift:
