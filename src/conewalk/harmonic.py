@@ -126,11 +126,11 @@ def build_h(spec: HarmonicSpec, domain: TruncatedDomain) -> HarmonicField:
     """
     _check_model(spec, domain)
     av = spec.tilt.a
-    z = domain.states.astype(float)
-    e_az = np.exp(z @ av)
     payoff = "exp" if spec.wall is None else f"linear_wall{spec.wall}"
     u = exit_expectation(domain, spec.tilt, payoff=payoff)
     # The lead term is formed after the solve, off the solve's peak memory.
+    z = domain.states.astype(float)
+    e_az = np.exp(z @ av)
     if spec.wall is None:
         lead, kind = e_az, "harmonic_interior"
     else:

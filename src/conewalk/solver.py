@@ -2,11 +2,12 @@
 truncated cone domains, with certified two-sided truncation brackets.
 
 The infinite system ``u = P_K u + b`` is solved on the lattice points of
-the cone inside an infinity-norm box of radius ``R``.  One-step successors
-fall into three classes: interior states (inside cone and box), exit
-points (outside the cone), and far-frontier states (inside the cone but
-beyond the box).  Exit points carry known payoffs; far-frontier states are
-where truncation error enters: certified lower and upper substitute values
+the cone inside an infinity-norm box of radius ``R``.  A successor table
+sorts each state's one-step successors into interior states (inside cone
+and box), exit points (outside the cone) and far-frontier states (inside
+the cone, beyond the box); the solve operators are laid out straight from
+it.  Exit points carry known payoffs; far-frontier states are where
+truncation error enters: certified lower and upper substitute values
 there make the two columns of one right-hand side, solved together.
 
 The substitute values are built from exact super/subharmonic comparison
@@ -93,8 +94,8 @@ class TruncatedDomain:
 
     States are ordered lexicographically for reproducibility.  One
     successor table classifies every state's one-step successors once;
-    transition matrices are built from it, and factorisations for
-    particular tilts are cached on demand.
+    each tilt's solve operator is laid out straight from it, with no
+    transition matrix, and cached on demand.
     """
 
     def __init__(self, cone: ConeGeometry, law: StepLaw, radius: int,
@@ -173,33 +174,57 @@ class TruncatedDomain:
         # all-zero tilt shares the untilted system.
         return None if a is None or not a.any() else (float(a[0]), float(a[1]))
 
-    def transition_matrix(self, a: np.ndarray | None = None) -> sp.csr_matrix:
-        """Interior-to-interior kernel, exponentially tilted by ``a``.
-
-        Rows list their interior successors in atom order, which is column
-        order because the steps and the states are both lexicographic.
-        """
-        w = self.law.probs if a is None else self.law.tilt(a).weights
-        inside = self.succ >= 0
+    def _layout(self, atoms, values, backward: bool):
+        """``(data, indices, indptr)`` with one line per state, listing in
+        turn each atom's successor of the state, or its predecessor if
+        ``backward``, that is a state, valued at the atom's ``values`` entry;
+        the atom ``None`` is the state itself.  Steps and states are both
+        lexicographic, so the atom order is each line's index order."""
+        table = np.empty((self.n_states, len(atoms)), dtype=np.int32)
+        for col, k in zip(table.T, atoms):
+            if k is None:
+                col[:] = np.arange(len(col))
+            elif not backward:
+                col[:] = self.succ[:, k]
+            else:
+                col.fill(EXIT)
+                src = np.flatnonzero(self.succ[:, k] >= 0)
+                col[self.succ[src, k]] = src
+        keep = table >= 0
         indptr = np.zeros(self.n_states + 1, dtype=np.int32)
-        np.cumsum(inside.sum(axis=1), out=indptr[1:])
-        atom = np.broadcast_to(np.arange(len(w), dtype=np.min_scalar_type(len(w))),
-                               inside.shape)
-        return sp.csr_matrix((w[atom[inside]], self.succ[inside], indptr),
-                             shape=(self.n_states, self.n_states))
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        return np.broadcast_to(values, table.shape)[keep], table[keep], indptr
 
     def _system(self, a: np.ndarray | None):
         """``(A, lu)`` for ``A = I - P_a`` up to ``DIRECT_LIMIT`` states;
-        above it ``(None, op)``, the prepared sweep operator, whose sweeps
-        never read ``A``, so ``A`` is not kept."""
+        above it ``(None, op)``, the sweep operator; ``A`` is not formed."""
         key = self._tilt_key(a)
         if key not in self._lu_cache:
-            P = self.transition_matrix(a)
-            A = (sp.identity(self.n_states, format="csr") - P).tocsc()
+            w = self.law.probs if a is None else self.law.tilt(a).weights
+            steps = list(map(tuple, self.law.steps.tolist()))
+            neg = [k for k, s in enumerate(steps) if s < (0, 0)][::-1]
+            pos = [k for k, s in enumerate(steps) if s > (0, 0)]
+            diag = 1.0 - w[steps.index((0, 0))] if (0, 0) in steps else 1.0
+            shape = (self.n_states, self.n_states)
             if self.n_states <= DIRECT_LIMIT:
+                # Column j lists its rows in order: by positive steps, j, negative.
+                A = sp.csc_matrix(self._layout(
+                    pos[::-1] + [None] + neg, [*-w[pos[::-1]], diag, *-w[neg]],
+                    backward=True), shape=shape)
                 self._lu_cache[key] = (A, spla.splu(A, permc_spec="MMD_AT_PLUS_A"))
             else:
-                self._lu_cache[key] = (None, _SweepOperator.prepare(A))
+                inv_diag = np.full(self.n_states, 1.0 / diag)
+                lower = _UnitLower(self._layout(
+                    [None] + neg, [1.0, *(-w[neg] * inv_diag[0])], backward=True),
+                    shape=shape)
+                # Caches has_canonical_format, so the sum_duplicates() that
+                # every sweep calls returns at once and never writes.
+                lower.sum_duplicates()
+                for arr in (lower.data, lower.indices, lower.indptr):
+                    arr.setflags(write=False)
+                upper = sp.csr_matrix(self._layout(pos, -w[pos], backward=False),
+                                      shape=shape)
+                self._lu_cache[key] = (None, _SweepOperator(lower, upper, inv_diag))
         return self._lu_cache[key]
 
     def solve(self, b: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
@@ -210,8 +235,8 @@ class TruncatedDomain:
         each column runs its own Gauss-Seidel sweeps on its own thread,
         the first column on the calling thread: the triangular solves and
         mat-vecs release the GIL, and every further thread's allocator
-        arena takes resident memory that the calling thread's heap, freed
-        by the system set-up, already holds.
+        arena takes resident memory of its own, where the calling thread's
+        heap already holds some.
         """
         if b.ndim != 2:
             raise ValueError(f"right-hand side must have shape (n, k), not {b.shape}")
@@ -249,7 +274,7 @@ class _UnitLower(sp.csc_matrix):
 
 
 class _SweepOperator(NamedTuple):
-    """Forward Gauss-Seidel splitting of ``A``, prepared once per system.
+    """Forward Gauss-Seidel splitting of ``A``, laid out once per system.
 
     ``lower`` is the lower triangle of ``A`` with each column scaled by
     ``1/diag(A)`` and a unit diagonal (a read-only :class:`_UnitLower`),
@@ -261,26 +286,6 @@ class _SweepOperator(NamedTuple):
     lower: _UnitLower
     upper: sp.csr_matrix
     inv_diag: np.ndarray
-
-    @classmethod
-    def prepare(cls, A: sp.spmatrix) -> "_SweepOperator":
-        A = A.tocsc()
-        inv_diag = 1.0 / A.diagonal()
-        # One row >= column mask splits A's CSC arrays into the triangles.
-        low = A.indices >= np.repeat(np.arange(A.shape[1], dtype=A.indices.dtype),
-                                     np.diff(A.indptr))
-        kept = np.searchsorted(np.flatnonzero(low), A.indptr)
-        lower = _UnitLower((A.data[low], A.indices[low], kept), shape=A.shape)
-        lower.data *= np.repeat(inv_diag, np.diff(lower.indptr))
-        sp.csc_matrix.setdiag(lower, 1.0)  # the one write to the diagonal
-        # Caches has_canonical_format, so the sum_duplicates() that every
-        # sweep calls returns at once and never writes.
-        lower.sum_duplicates()
-        for arr in (lower.data, lower.indices, lower.indptr):
-            arr.setflags(write=False)
-        upper = sp.csc_matrix((A.data[~low], A.indices[~low], A.indptr - kept),
-                              shape=A.shape)
-        return cls(lower, upper.tocsr(), inv_diag)
 
 
 def _gauss_seidel(op: _SweepOperator, b: np.ndarray, tol: float = 1e-13,
@@ -626,15 +631,20 @@ def harmonicity_residual(h: HarmonicField) -> ResidualReport:
     shows however small it is against the field's largest.
     """
     domain = h.domain
-    P = domain.transition_matrix(None)
     eligible = ~(domain.succ == FAR).any(axis=1)
     if not eligible.any():
         return ResidualReport(0, 0.0, 0.0, None)
+    def P(x):  # adds up interior successors in atom order, as CSR P @ x does
+        y = np.zeros_like(x)
+        for p, to in zip(domain.law.probs, domain.succ.T):
+            y[to >= 0] += p * x[to[to >= 0]]
+        return y
+
     mid, width = h.mid, h.width
-    res = np.abs(mid - P @ mid)
-    excess = res - 0.5 * (width + P @ width)
+    res = np.abs(mid - P(mid))
+    excess = res - 0.5 * (width + P(width))
     scale = np.abs(mid, out=width)  # width is spent; its buffer is reused
-    scale += P @ scale
+    scale += P(scale)
     excess /= np.maximum(scale, 1e-300, out=scale)
     excess[~eligible] = -math.inf
     worst = int(np.argmax(excess))

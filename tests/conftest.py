@@ -5,11 +5,16 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+import conewalk.verify  # noqa: F401  (loads every module of the package)
 from conewalk import StepLaw, build_cone
 from conewalk.cli import ModelConfig, parse_config
 
 # Every property test draws the same examples on every run, so tier-1 stays
 # reproducible: no example database and no per-example deadline.
+# Hypothesis also mixes the numeric literals of every loaded local module
+# into its draws.  Loading the whole package above makes that pool the same
+# whether one test file runs or the whole suite, but a literal added to (or
+# removed from) src/ can still change the examples every property test draws.
 settings.register_profile("conewalk", derandomize=True, database=None,
                           deadline=None)
 settings.load_profile("conewalk")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from conewalk import (Bracket, DomainSizeError, StepLaw, build_cone,
                       harmonicity_residual, point_with_normal, solver,
                       spec_for_endpoint, survival_probability, tilt_point)
 from conewalk.cli import _default_probes
-from conewalk.solver import (EXIT, FAR, HarmonicField, _exit_masks,
-                             _free_green_bound, _gauss_seidel, _SweepOperator,
-                             _UnitLower)
+from conewalk.solver import (EXIT, FAR, HarmonicField, ResidualReport,
+                             _exit_masks, _free_green_bound, _gauss_seidel,
+                             _SweepOperator, _UnitLower)
 
 
 def dp_exit_expectation(law, cone, radius, a, payoff_wall=None, iters=4000):
@@ -46,6 +47,59 @@ def dp_exit_expectation(law, cone, radius, a, payoff_wall=None, iters=4000):
             new[(x, y)] = acc
         values = new
     return values
+
+
+def reference_kernel(d, a=None) -> sp.csr_matrix:
+    """``P_a`` of the domain, summed into CSR from its ``(state, successor,
+    weight)`` triples."""
+    law = d.law
+    w = law.probs if a is None else law.tilt(a).weights
+    src, atom = np.nonzero(d.succ >= 0)
+    return sp.coo_matrix((w[atom], (src, d.succ[src, atom])),
+                         shape=(d.n_states,) * 2).tocsr()
+
+
+def reference_system(d, a=None) -> sp.csc_matrix:
+    """``I - P_a`` as CSC, through the identity matrix."""
+    return (sp.identity(d.n_states, format="csr") - reference_kernel(d, a)).tocsc()
+
+
+def reference_operator(A) -> _SweepOperator:
+    """The Gauss-Seidel splitting of ``A`` by ``sp.tril`` and ``sp.triu``:
+    the lower triangle with each column scaled by ``1/diag(A)`` and a unit
+    diagonal, the strict upper triangle, and ``1/diag(A)``."""
+    inv_diag = 1.0 / A.diagonal()
+    L = sp.tril(A, format="csc")
+    L.data *= np.repeat(inv_diag, np.diff(L.indptr))
+    L.setdiag(1.0)
+    lower = _UnitLower((L.data, L.indices, L.indptr), shape=A.shape)
+    return _SweepOperator(lower, sp.triu(A, 1, format="csr"), inv_diag)
+
+
+def assert_same_arrays(M, ref):
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(M, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def reference_residual(h: HarmonicField) -> ResidualReport:
+    """``harmonicity_residual`` with ``P`` applied as a CSR mat-vec."""
+    d = h.domain
+    P = reference_kernel(d)
+    eligible = ~(d.succ == FAR).any(axis=1)
+    if not eligible.any():
+        return ResidualReport(0, 0.0, 0.0, None)
+    mid, width = h.mid, h.width
+    res = np.abs(mid - P @ mid)
+    excess = res - 0.5 * (width + P @ width)
+    scale = np.abs(mid) + P @ np.abs(mid)
+    excess /= np.maximum(scale, 1e-300)
+    excess[~eligible] = -math.inf
+    worst = int(np.argmax(excess))
+    return ResidualReport(int(eligible.sum()), float(res[eligible].max()),
+                          float(excess[worst]),
+                          (int(d.states[worst, 0]), int(d.states[worst, 1])))
 
 
 class TestDomain:
@@ -119,18 +173,24 @@ class TestDomain:
 
 
 @st.composite
-def small_models(draw):
+def small_models(draw, max_radius=12, zero_step=None):
     """A law with 3-6 atoms and max jump <= 2, an integer cone with small
-    ray directions, and a radius <= 12 the law admits."""
-    steps = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
-                          min_size=3, max_size=6, unique=True))
+    ray directions, and a radius <= ``max_radius`` the law admits.  A
+    ``zero_step`` of True or False puts a (0, 0) atom in or keeps it out."""
+    step = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    if zero_step is not None:
+        step = step.filter(lambda z: z != (0, 0))
+    steps = draw(st.lists(step, min_size=3 - bool(zero_step),
+                          max_size=6 - bool(zero_step), unique=True))
+    if zero_step:
+        steps.append((0, 0))
     mass = draw(st.lists(st.integers(1, 9), min_size=len(steps),
                          max_size=len(steps)))
     law = StepLaw({z: m / sum(mass) for z, m in zip(steps, mass)})
     vec = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
     d1, d2 = draw(vec), draw(vec)
     assume(d1[0] * d2[1] - d1[1] * d2[0] != 0)
-    radius = draw(st.integers(2 * law.max_jump, 12))
+    radius = draw(st.integers(2 * law.max_jump, max_radius))
     tilt = np.array(draw(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))))
     return law, build_cone(d1, d2), radius, tilt
 
@@ -183,10 +243,41 @@ class TestSuccessorTableProperties:
                         dst.append(j)
                         data.append(w[k])
             ref = sp.csr_matrix((data, (src, dst)), shape=(d.n_states,) * 2)
-            P = d.transition_matrix(a)
-            assert np.array_equal(P.indptr, ref.indptr)
-            assert np.array_equal(P.indices, ref.indices)
-            assert np.array_equal(P.data, ref.data)
+            assert_same_arrays(reference_kernel(d, a), ref)
+            A, _ = d._system(a)
+            assert_same_arrays(
+                A, (sp.identity(d.n_states, format="csr") - ref).tocsc())
+
+    @pytest.mark.parametrize("zero_step", [False, True])
+    @_PROPERTY
+    @given(data=st.data())
+    def test_operators_match_reference_layout(self, zero_step, data):
+        # Both paths' operators and the residual, laid out from the table,
+        # against I - P summed from COO triples and split by tril/triu.
+        law, cone, radius, tilt = data.draw(small_models(40, zero_step))
+        d = _small_domain(law, cone, radius)
+        for a in (None, tilt):
+            A_ref = reference_system(d, a)
+            d._lu_cache.clear()
+            # splu would canonicalise A in place; check it as laid out.
+            with mock.patch.object(solver.spla, "splu", lambda A, **kw: None):
+                A, _ = d._system(a)
+            assert_same_arrays(A, A_ref)
+            ref = reference_operator(A_ref)
+            d._lu_cache.clear()
+            with mock.patch.object(solver, "DIRECT_LIMIT", 0):
+                kept, op = d._system(a)
+            assert kept is None
+            assert_same_arrays(op.lower, ref.lower)
+            assert_same_arrays(op.upper, ref.upper)
+            assert op.upper.format == "csr"
+            assert op.inv_diag.dtype == ref.inv_diag.dtype
+            assert np.array_equal(op.inv_diag, ref.inv_diag)
+        rng = np.random.default_rng(d.n_states)
+        lo = rng.uniform(0.5, 1.5, d.n_states)
+        h = HarmonicField(domain=d, kind="exp", a=np.zeros(2), lo=lo,
+                          hi=lo + rng.uniform(0.0, 1e-3, d.n_states))
+        assert harmonicity_residual(h) == reference_residual(h)
 
 
 class TestSingleState:
@@ -417,7 +508,7 @@ class TestResidual:
         d = build_domain(quadrant_cone, law4, 12)
         z = d.states.astype(float)
         values = (z @ qp) * np.exp(z @ p.a)
-        P = d.transition_matrix(None)
+        P = reference_kernel(d)
         r = values - P @ values
         deep = (d.states.min(axis=1) >= 2) & (d.states.max(axis=1) <= 10)
         assert np.abs(r[deep]).max() <= 1e-10 * np.abs(values[deep]).max()
@@ -473,7 +564,7 @@ class TestSolvers:
         A, _ = d._system(None)
         b = np.random.default_rng(4).uniform(0.0, 1.0, d.n_states)
         direct = spla.splu(A).solve(b)
-        assert np.allclose(_gauss_seidel(_SweepOperator.prepare(A), b), direct,
+        assert np.allclose(_gauss_seidel(reference_operator(A), b), direct,
                            rtol=1e-11, atol=1e-11)
 
     @staticmethod
@@ -494,8 +585,10 @@ class TestSolvers:
     def test_prepared_sweeps_match_unprepared_triangle(self, model,
                                                        monkeypatch):
         cfg = load_config(model)
+        monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
         d = build_domain(cfg.cone, cfg.law, 40)
-        A, _ = d._system(None)
+        _, op = d._system(None)
+        A = reference_system(d)
         b = (np.random.default_rng(7).uniform(0.0, 1.0, d.n_states)
              * np.exp(d.states @ np.array([0.1, 0.05])))
         calls = []
@@ -507,7 +600,7 @@ class TestSolvers:
 
         # solver reaches the same module attribute through its spla alias.
         monkeypatch.setattr(spla, "spsolve_triangular", counted)
-        swept = _gauss_seidel(_SweepOperator.prepare(A), b)
+        swept = _gauss_seidel(op, b)
         prepared_sweeps = len(calls)
         calls.clear()
         ref = self._unprepared_sweeps(A, b)
@@ -526,8 +619,7 @@ class TestSolvers:
         # The sweep path keeps only the prepared operator, not A.
         kept, op = d._system(None)
         assert kept is None
-        A = (sp.identity(d.n_states, format="csr")
-             - d.transition_matrix(None)).tocsc()
+        A = reference_system(d)
         assert isinstance(op, _SweepOperator)
         assert d._system(None)[1] is op
         assert np.all(op.lower.diagonal() == 1.0)
@@ -584,11 +676,11 @@ class TestSolvers:
         for arr in (op.lower.data, op.lower.indices, op.lower.indptr):
             assert not arr.flags.writeable
 
-    def test_unit_lower_only_takes_setdiag_1(self, law4, quadrant_cone):
+    def test_unit_lower_only_takes_setdiag_1(self, law4, quadrant_cone,
+                                             monkeypatch):
+        monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
         d = build_domain(quadrant_cone, law4, 12)
-        A = (sp.identity(d.n_states, format="csr")
-             - d.transition_matrix(None)).tocsc()
-        lower = _SweepOperator.prepare(A).lower
+        lower = d._system(None)[1].lower
         assert isinstance(lower, _UnitLower)
         data = lower.data.tobytes()
         with pytest.raises(ValueError):
@@ -597,6 +689,36 @@ class TestSolvers:
             lower.setdiag(1, k=1)
         lower.setdiag(1)
         assert lower.data.tobytes() == data
+
+    def test_sweep_operator_layout_peak_memory(self, monkeypatch):
+        # Laid out from the successor table, the set-up holds little beyond
+        # the arrays it keeps: no I - P, and no CSC copy of it.
+        monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
+        cfg = load_config("asymmetric")
+        d = build_domain(cfg.cone, cfg.law, 120)
+        tracemalloc.start()
+        try:
+            _, op = d._system(None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = op.inv_diag.nbytes + sum(
+            arr.nbytes for M in (op.lower, op.upper)
+            for arr in (M.data, M.indices, M.indptr))
+        assert peak <= 1.5 * kept
+
+    def test_no_identity_matrix_is_formed(self, monkeypatch):
+        def identity(*args, **kwargs):
+            raise AssertionError("an identity matrix was formed")
+
+        monkeypatch.setattr(solver.sp, "identity", identity)
+        cfg = load_config("asymmetric")
+        spec = spec_for_endpoint(cfg.law, cfg.cone, 1)
+        fields = [build_h(spec, build_domain(cfg.cone, cfg.law, 30))]
+        monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
+        fields.append(build_h(spec, build_domain(cfg.cone, cfg.law, 30)))
+        for h in fields:
+            assert harmonicity_residual(h).n_evaluated > 0
 
     @pytest.mark.parametrize("path", ["direct", "sweeps"])
     def test_solve_rejects_1d_rhs(self, path, law4, quadrant_cone,
@@ -650,7 +772,7 @@ class TestSolvers:
         # A wildly non-diagonally-dominant system makes the sweeps blow up.
         A = sp.csr_matrix(np.array([[1.0, -4.0], [-4.0, 1.0]]))
         with pytest.raises(NonConvergenceError):
-            _gauss_seidel(_SweepOperator.prepare(A), np.ones(2), max_sweeps=50)
+            _gauss_seidel(reference_operator(A), np.ones(2), max_sweeps=50)
 
 
 class TestBracketType:

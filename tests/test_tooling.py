@@ -9,15 +9,18 @@ is loaded and read here, never modified.
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import load_config
-from conewalk import solver, verify
+from conewalk import exit_expectation, solver, spec_for_endpoint, verify
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +104,36 @@ def test_suite_runner_shares_its_inputs(tracer, monkeypatch):
     for name in ("check_positivity_refinement", "check_bracket_invariants"):
         assert args[name][0] is d100 and args[name][1] is d150
     assert args["check_endpoint_survival_decay"][0] is d100
+
+
+def test_exact_counters_see_every_factorisation(tracer, monkeypatch):
+    # The tracer counts factorisations and reads args[0].nnz through a
+    # proxy for solver.spla, which the solver must look up at call time.
+    calls = []
+    linalg = solver.spla
+
+    def splu(*args, **kwargs):
+        calls.append(args)
+        return linalg.splu(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "spla", tracer._LinalgProxy(linalg, {"splu": splu}))
+    cfg = load_config("asymmetric")
+    d = solver.build_domain(cfg.cone, cfg.law, 40)
+    exit_expectation(d, spec_for_endpoint(cfg.law, cfg.cone, 1).tilt,
+                     payoff="linear_wall1")
+    assert len(calls) == 1
+    A, _ = d._lu_cache[None]
+    assert calls[0][0] is A
+    assert calls[0][0].nnz == A.nnz == int((d.succ >= 0).sum()) + d.n_states
+
+
+def test_conftest_loads_every_package_module():
+    # Hypothesis draws from the literals of the loaded modules, so a test
+    # file run alone must see the same modules as the whole suite.
+    names = sorted(p.stem for p in (ROOT / "src" / "conewalk").glob("*.py"))
+    code = ("import sys, conftest; print(' '.join(sorted("
+            "m.split('.')[-1] for m in sys.modules if m.startswith('conewalk.'))))")
+    env = {**os.environ, "PYTHONPATH": f"{ROOT / 'src'}{os.pathsep}{ROOT / 'tests'}"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout.split()
+    assert sorted(out + ["__init__"]) == names
