@@ -23,7 +23,7 @@ from .montecarlo import (AbsorptionCheck, ConnectivityScan, MartinRow,
 from .solver import (Bracket, HarmonicField, ResidualReport, TruncatedDomain,
                      build_domain, exit_expectation, green_column,
                      harmonicity_residual, survival_probability)
-from .steplaw import ModelReport, StepLaw, TiltedLaw, validate_model
+from .steplaw import ModelReport, StepLaw, validate_model
 from .tiltgeom import (TiltPoint, boundary_polyline, epsilon_for_delta,
                        interior_minimum, largest_level_shift,
                        normal_direction, point_with_normal, tilt_point,
@@ -38,7 +38,7 @@ __all__ = [
     "HarmonicSpec", "MartinRow", "MCEstimate", "ModelReport",
     "NoIntersectionError", "NonConvergenceError", "PositivityReport",
     "RangeOverflowError", "ResidualReport", "RngSpec", "StepLaw",
-    "TiltPoint", "TiltedLaw", "TruncatedDomain", "ZeroGradientError",
+    "TiltPoint", "TruncatedDomain", "ZeroGradientError",
     "absorption_crosscheck", "boundary_polyline",
     "build_cone", "build_cone_from_angles", "build_domain", "build_h",
     "check_positive", "classify_spec", "cross_exit_bound",

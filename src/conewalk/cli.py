@@ -290,9 +290,10 @@ def _default_probes(cfg: ModelConfig, count: int) -> list[tuple[int, int]]:
 
 
 def cmd_verify(cfg: ModelConfig, args) -> int:
-    from .verify import overshoot_rows, run_model_suite
+    from .verify import boundary_specs, overshoot_rows, run_model_suite
+    specs = boundary_specs(cfg)
     results = run_model_suite(
-        cfg, mc_samples=100_000 if args.samples is None else args.samples,
+        cfg, specs, mc_samples=100_000 if args.samples is None else args.samples,
         horizon=10_000 if args.horizon is None else args.horizon)
     rows = []
     mc_rows = []
@@ -310,7 +311,8 @@ def cmd_verify(cfg: ModelConfig, args) -> int:
         est_out = _out_dir(args) / f"{cfg.name}_mc_estimates.csv"
         _write_csv(est_out, cfg, [],
                    ["operation", "params", "mean", "stderr", "n",
-                    "truncated_fraction"], mc_rows + overshoot_rows(cfg))
+                    "truncated_fraction"],
+                   mc_rows + overshoot_rows(cfg, specs[:2]))
         if not args.quiet:
             print(f"wrote {out} and {est_out}")
     return 0 if all(r.passed for r in results) else 1
@@ -347,8 +349,9 @@ def main(argv=None) -> int:
     for p in parsers.values():
         add_shared(p, suppress=True)
     parsers["validate"].add_argument("--box-radius", type=int, default=30)
-    parsers["harmonic"].add_argument("--endpoint", choices=["1", "2"])
-    parsers["harmonic"].add_argument("--q", help="normal direction 'qx,qy'")
+    tilt_choice = parsers["harmonic"].add_mutually_exclusive_group()
+    tilt_choice.add_argument("--endpoint", choices=["1", "2"])
+    tilt_choice.add_argument("--q", help="normal direction 'qx,qy'")
     parsers["martin"].add_argument("--q",
                                    help="direction 'qx,qy' (default: drift)")
     parsers["martin"].add_argument("--radii",

@@ -27,8 +27,8 @@ from .cone import ConeGeometry, _angle_between
 from .solver import (Bracket, HarmonicField, TruncatedDomain,
                      DEFAULT_DELTA_GRID, exit_expectation)
 from .steplaw import StepLaw
-from .tiltgeom import (TiltPoint, as_tilt_point, epsilon_for_delta,
-                       normal_direction, point_with_normal)
+from .tiltgeom import (TiltPoint, epsilon_for_delta, normal_direction,
+                       point_with_normal, tilt_point)
 
 #: Angular tolerance deciding the endpoint branch.
 BRANCH_ANGLE_TOL = 1e-8
@@ -69,7 +69,7 @@ def classify_spec(law: StepLaw, cone: ConeGeometry, a) -> HarmonicSpec:
     tolerance) attach a warning since the two formulas are different
     objects.
     """
-    point = as_tilt_point(law, a)
+    point = tilt_point(law, a)
     if not point.on_boundary:
         raise ValueError(f"tilt is not on the level-set boundary "
                          f"(mgf = {point.value!r})")
@@ -126,8 +126,7 @@ def build_h(spec: HarmonicSpec, domain: TruncatedDomain) -> HarmonicField:
     """
     _check_model(spec, domain)
     av = spec.tilt.a
-    payoff = "exp" if spec.wall is None else f"linear_wall{spec.wall}"
-    u = exit_expectation(domain, spec.tilt, payoff=payoff)
+    u = exit_expectation(domain, spec.tilt, wall=spec.wall)
     # The lead term is formed after the solve, off the solve's peak memory.
     z = domain.states.astype(float)
     e_az = np.exp(z @ av)
@@ -231,8 +230,7 @@ def cross_exit_bound(spec: HarmonicSpec, domain: TruncatedDomain, z,
     f_i = spec.cone.normal(i)
     f_j = spec.cone.normal(j)
     eps = epsilon_for_delta(spec.law, spec.tilt, delta, f_i, f_j)
-    u = exit_expectation(domain, spec.tilt, payoff=f"linear_wall{i}",
-                         restriction=f"only_wall{j}_first",
+    u = exit_expectation(domain, spec.tilt, wall=i, through=j,
                          delta_grid=DEFAULT_DELTA_GRID + (delta,))
     b = u.bracket(z)
     zv = np.asarray(z, dtype=float)

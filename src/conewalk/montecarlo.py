@@ -18,8 +18,8 @@ import numpy as np
 
 from .cone import ConeGeometry
 from .solver import Bracket, TruncatedDomain, exit_expectation, green_column
-from .steplaw import LatticePoint, StepLaw, TiltedLaw
-from .tiltgeom import as_tilt_point, wall_decay_exponent
+from .steplaw import LatticePoint, StepLaw
+from .tiltgeom import TiltPoint, tilt_point, wall_decay_exponent
 from .harmonic import HarmonicSpec, build_h, spec_for_direction
 
 #: Paths are declared safe from ever exiting once both wall distances give
@@ -135,23 +135,24 @@ def _walk(cum: np.ndarray, steps: np.ndarray, mass: float, z0, n: int,
     return code, count, end
 
 
-def _simulate_batch(tilted: TiltedLaw, cone: ConeGeometry, z0, horizon: int,
-                    rng: np.random.Generator, n: int,
-                    early_stop: bool = True):
-    """Simulate ``n`` tilted paths from ``z0``; returns (which, steps, points).
+def _simulate_batch(tilt: TiltPoint, cone: ConeGeometry, z0, horizon: int,
+                    rng: np.random.Generator, n: int):
+    """Simulate ``n`` paths from ``z0`` of the walk tilted by the point
+    ``tilt``, killed at rate ``1 - tilt.mass``; returns (which, steps, points).
 
     ``which`` uses the integer codes 1/2/3 for wall1/wall2/both, 0 for
-    horizon, -1 for killed, -2 for escaped; ``points`` holds cone exits
-    only.  A kill is decided before the step, escape after the exit test.
+    horizon, -1 for killed, -2 for escaped (past both walls'
+    :func:`_escape_distances`); ``points`` holds cone exits only.  A kill
+    is decided before the step, escape after the exit test.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if n < 1:
         raise ValueError("sample count must be at least 1")
-    if tilted.total_mass > 1.0 + 1e-10:
+    if tilt.mass > 1.0 + 1e-10:
         raise ValueError("tilted weights exceed unit mass; sampling needs a "
                          "tilt inside the unit level set")
-    escape = _escape_distances(tilted.base, cone, tilted.a) if early_stop else None
+    escape = _escape_distances(tilt.law, cone, tilt.a)
 
     def stop(p):
         bad1, bad2 = cone.wall_violations(p)
@@ -166,8 +167,8 @@ def _simulate_batch(tilted: TiltedLaw, cone: ConeGeometry, z0, horizon: int,
         # Starting outside the cone exits immediately with zero steps.
         start = np.tile(np.asarray(z0, dtype=np.int64), (n, 1))
         return stop(start).astype(np.int64), np.zeros(n, dtype=np.int64), start
-    which, steps, points = _walk(np.cumsum(tilted.weights), tilted.steps,
-                                 tilted.total_mass, z0, n, horizon, rng, stop)
+    which, steps, points = _walk(np.cumsum(tilt.weights), tilt.law.steps,
+                                 tilt.mass, z0, n, horizon, rng, stop)
     points[which <= 0] = 0
     return which, steps, points
 
@@ -201,15 +202,14 @@ def absorption_crosscheck(domain: TruncatedDomain, a, z0, horizon: int,
     enters the lower comparison as a one-sided bias allowance.
     """
     law, cone = domain.law, domain.cone
-    point = as_tilt_point(law, a)
-    u = exit_expectation(domain, point, payoff="exp", restriction="all_exits")
+    point = tilt_point(law, a)
+    u = exit_expectation(domain, point)
     b = u.bracket(z0)
     scale = math.exp(-float(point.a @ np.asarray(z0, dtype=float)))
     bracket = Bracket(b.lo * scale, b.hi * scale)
 
-    tilted = law.tilt(point.a)
     gen = rng.generator()
-    which, _, _ = _simulate_batch(tilted, cone, z0, horizon, gen, n)
+    which, _, _ = _simulate_batch(point, cone, z0, horizon, gen, n)
     absorbed = int((which > 0).sum())
     truncated = int((which == 0).sum())
     p_hat = absorbed / n
@@ -240,10 +240,9 @@ def overshoot_moment(spec: HarmonicSpec, z0, horizon: int, n: int,
     wall = spec.wall
     if wall is None:
         raise ValueError("overshoot sampling needs an endpoint-branch spec")
-    law, cone = spec.law, spec.cone
+    law, cone, tilt = spec.law, spec.cone, spec.tilt
     f = cone.normal(wall)
-    tilted = law.tilt(spec.tilt.a)
-    proj_mean = float(f @ tilted.normalized_drift())
+    proj_mean = float(f @ ((law.steps.T @ tilt.weights) / tilt.mass))
     if abs(proj_mean) > 1e-10:
         raise ValueError(
             f"projected tilted walk has mean {proj_mean:.2e}; endpoint tilt "
@@ -256,7 +255,7 @@ def overshoot_moment(spec: HarmonicSpec, z0, horizon: int, n: int,
     if int(np.asarray(z0, dtype=np.int64) @ w) <= 0:
         raise ValueError("start point must lie strictly inside the wall")
 
-    code, _, end = _walk(np.cumsum(tilted.normalized_probs()), law.steps, 1.0,
+    code, _, end = _walk(np.cumsum(tilt.weights / tilt.mass), law.steps, 1.0,
                          z0, n, horizon, rng.generator(),
                          lambda p: (p @ w <= 0).astype(np.int8))
     resolved = code == 1
@@ -292,12 +291,14 @@ def martin_ratio_table(domain: TruncatedDomain, q, radii, probes,
     (bracket midpoints) next to ``h(probe)/h(z_ref)`` for the harmonic
     function of the tilt with normal ``q``.  Purely exploratory output:
     nothing is asserted, and rows with a vanishing reference Green value
-    are flagged degenerate.  Target radii must be positive.
+    are flagged degenerate.  Target radii must be finite and positive.
     """
-    if not all(r > 0 for r in radii):
-        raise ValueError(f"target radii must be positive, got {list(radii)}")
+    if not all(0 < r < math.inf for r in radii):
+        raise ValueError(
+            f"target radii must be finite and positive, got {list(radii)}")
     q = np.asarray(q, dtype=float)
-    q = q / np.linalg.norm(q)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by build_h
+        q = q / np.linalg.norm(q)
     for p in list(probes) + [tuple(z_ref)]:
         domain.index_of(p)
 

@@ -42,9 +42,8 @@ import scipy.sparse.linalg as spla
 from .cone import ConeGeometry
 from .errors import DomainSizeError, NoIntersectionError, NonConvergenceError
 from .steplaw import LatticePoint, StepLaw
-from .tiltgeom import (TiltPoint, as_tilt_point, boundary_polyline,
-                       interior_minimum, largest_level_shift,
-                       wall_decay_exponent)
+from .tiltgeom import (TiltPoint, boundary_polyline, interior_minimum,
+                       largest_level_shift, tilt_point, wall_decay_exponent)
 
 #: Default tangential offsets for the opposite-wall truncation bound.
 DEFAULT_DELTA_GRID = (0.5, 0.25, 0.1, 0.05)
@@ -56,15 +55,15 @@ _GREEN_BOUNDARY_POINTS, _GREEN_SHIFTS = 16, (0.5, 0.9)
 #: State counts up to this limit use a direct sparse factorisation.
 DIRECT_LIMIT = 200_000
 
+#: A domain holds at most this many states.
+MAX_STATES = 300_000
+
 #: Points per slab when a domain's box is enumerated or its rows are
 #: listed, which bounds the temporaries of both.
 _CHUNK = 16_384
 
 #: Codes of ``TruncatedDomain.succ`` for successors that are not states.
 EXIT, FAR = -1, -2
-
-PAYOFFS = ("exp", "linear_wall1", "linear_wall2")
-RESTRICTIONS = ("all_exits", "only_wall1_first", "only_wall2_first")
 
 
 @dataclass(frozen=True)
@@ -98,8 +97,7 @@ class TruncatedDomain:
     transition matrix, and cached on demand.
     """
 
-    def __init__(self, cone: ConeGeometry, law: StepLaw, radius: int,
-                 max_states: int = 300_000):
+    def __init__(self, cone: ConeGeometry, law: StepLaw, radius: int):
         if radius < 2 * law.max_jump:
             raise ValueError(
                 f"radius {radius} is below twice the max jump {law.max_jump}")
@@ -120,9 +118,9 @@ class TruncatedDomain:
             pts = np.column_stack([np.repeat(xs, side), np.tile(ys, len(xs))])
             slab = pts[cone.contains_array(pts)]
             count += len(slab)
-            if count > max_states:
+            if count > MAX_STATES:
                 raise DomainSizeError(
-                    f"the box of radius {r} holds more than {max_states} "
+                    f"the box of radius {r} holds more than {MAX_STATES} "
                     f"states, the configured cap")
             slabs.append(slab)
         states = np.concatenate(slabs)
@@ -169,10 +167,10 @@ class TruncatedDomain:
 
     # -- kernels ------------------------------------------------------------
 
-    def _tilt_key(self, a: np.ndarray | None):
+    def _tilt_key(self, tilt: TiltPoint | None):
         # exp(0) = 1 weighs every atom by exactly its probability, so an
         # all-zero tilt shares the untilted system.
-        return None if a is None or not a.any() else (float(a[0]), float(a[1]))
+        return None if tilt is None or not tilt.a.any() else tuple(map(float, tilt.a))
 
     def _layout(self, atoms, values, backward: bool):
         """``(data, indices, indptr)`` with one line per state, listing in
@@ -195,12 +193,14 @@ class TruncatedDomain:
         np.cumsum(keep.sum(axis=1), out=indptr[1:])
         return np.broadcast_to(values, table.shape)[keep], table[keep], indptr
 
-    def _system(self, a: np.ndarray | None):
+    def _system(self, tilt: TiltPoint | None):
         """``(A, lu)`` for ``A = I - P_a`` up to ``DIRECT_LIMIT`` states;
         above it ``(None, op)``, the sweep operator; ``A`` is not formed."""
-        key = self._tilt_key(a)
+        if tilt is not None:  # a point of another law raises ValueError
+            tilt = tilt_point(self.law, tilt)
+        key = self._tilt_key(tilt)
         if key not in self._lu_cache:
-            w = self.law.probs if a is None else self.law.tilt(a).weights
+            w = self.law.probs if tilt is None else tilt.weights
             steps = list(map(tuple, self.law.steps.tolist()))
             neg = [k for k, s in enumerate(steps) if s < (0, 0)][::-1]
             pos = [k for k, s in enumerate(steps) if s > (0, 0)]
@@ -227,8 +227,9 @@ class TruncatedDomain:
                 self._lu_cache[key] = (None, _SweepOperator(lower, upper, inv_diag))
         return self._lu_cache[key]
 
-    def solve(self, b: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
-        """Solve ``(I - P_a) x = b`` for ``b`` of shape ``(n, k)``.
+    def solve(self, b: np.ndarray, tilt: TiltPoint | None = None) -> np.ndarray:
+        """Solve ``(I - P_a) x = b`` for ``b`` of shape ``(n, k)``, ``a`` the
+        tilt point ``tilt``; None is the untilted kernel.
 
         Up to ``DIRECT_LIMIT`` states this is a sparse LU solve with one
         step of iterative refinement, on all columns at once.  Above it,
@@ -240,7 +241,7 @@ class TruncatedDomain:
         """
         if b.ndim != 2:
             raise ValueError(f"right-hand side must have shape (n, k), not {b.shape}")
-        A, solver = self._system(a)
+        A, solver = self._system(tilt)
         if isinstance(solver, _SweepOperator):
             first, *rest = b.T
             # The columns share the read-only triangle.  spsolve_triangular
@@ -319,10 +320,9 @@ def _gauss_seidel(op: _SweepOperator, b: np.ndarray, tol: float = 1e-13,
         f"Gauss-Seidel did not reach {tol:.1e} in {max_sweeps} sweeps")
 
 
-def build_domain(cone: ConeGeometry, law: StepLaw, radius: int,
-                 max_states: int = 300_000) -> TruncatedDomain:
+def build_domain(cone: ConeGeometry, law: StepLaw, radius: int) -> TruncatedDomain:
     """Enumerate and index the cone's lattice points inside the box."""
-    return TruncatedDomain(cone, law, radius, max_states=max_states)
+    return TruncatedDomain(cone, law, radius)
 
 
 # -- harmonic fields --------------------------------------------------------
@@ -374,12 +374,11 @@ class FarBounds:
 
     @classmethod
     def build(cls, law: StepLaw, cone: ConeGeometry, a: np.ndarray,
-              payoff: str, delta_grid=DEFAULT_DELTA_GRID) -> "FarBounds":
+              wall: int | None, delta_grid=DEFAULT_DELTA_GRID) -> "FarBounds":
         th1 = wall_decay_exponent(law, a, cone.f1)
         th2 = wall_decay_exponent(law, a, cone.f2)
-        if payoff == "exp":
+        if wall is None:
             return cls(thetas=(th1, th2), eps_pairs=(), overshoot_cap=0.0, wall=None)
-        wall = 1 if payoff == "linear_wall1" else 2
         f_i = cone.normal(wall)
         f_j = cone.normal(3 - wall)
         pairs = []
@@ -411,61 +410,44 @@ class FarBounds:
             best = cand if best is None else np.minimum(best, cand)
         return e_ay * best
 
-    def values(self, restriction: str, e_ay: np.ndarray, fd1: np.ndarray,
+    def values(self, through: int | None, e_ay: np.ndarray, fd1: np.ndarray,
                fd2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) substitute values at far points with the given geometry.
+        """(lo, hi) substitute values at far points with the given geometry,
+        for the exits through wall ``through`` first, or all for None.
 
-        The three restrictions partition the exit event, and the bucket
-        bounds add exactly: ``all_exits`` equals the sum of the two
-        single-wall buckets, which keeps restriction additivity exact and
-        keeps survival/exit complementarity exact.
+        The two buckets partition the exit event, and their bounds add
+        exactly to the all-exits bounds, which keeps bucket additivity and
+        survival/exit complementarity exact.
         """
+        zero = np.zeros_like(e_ay)
         if self.wall is None:
             s1 = np.exp(-self.thetas[0] * fd1)
             s2 = np.exp(-self.thetas[1] * fd2)
-            zero = np.zeros_like(e_ay)
-            if restriction == "all_exits":
-                # min(1, .) keeps the cap the exact complement of the
-                # survival lower cap; the per-bucket caps then sum to at
-                # least this, so the bucket brackets contain the total.
-                return zero, e_ay * np.minimum(1.0, s1 + s2)
-            if restriction == "only_wall1_first":
-                return zero, e_ay * np.minimum(1.0, s1)
-            return zero, e_ay * np.minimum(1.0, s2)
-        i = self.wall
-        fd_i, fd_j = (fd1, fd2) if i == 1 else (fd2, fd1)
-        own_lo = -self.overshoot_cap * e_ay
-        cross_hi = self._cross_cap(e_ay, fd_i, fd_j)
-        zero = np.zeros_like(e_ay)
-        if restriction == "all_exits":
-            return own_lo, cross_hi
-        own = "only_wall1_first" if i == 1 else "only_wall2_first"
-        if restriction == own:
-            return own_lo, zero
-        return zero, cross_hi
+            # For all exits, min(1, .) keeps the cap the exact complement
+            # of the survival lower cap; the per-bucket caps then sum to
+            # at least this, so the bucket brackets contain the total.
+            s = s1 + s2 if through is None else (s1 if through == 1 else s2)
+            return zero, e_ay * np.minimum(1.0, s)
+        fd_i, fd_j = (fd1, fd2) if self.wall == 1 else (fd2, fd1)
+        lo = (-self.overshoot_cap * e_ay if through in (None, self.wall)
+              else zero)
+        hi = self._cross_cap(e_ay, fd_i, fd_j) if through != self.wall else zero
+        return lo, hi
 
 
-def _exit_masks(cone: ConeGeometry, pts: np.ndarray, tie_wall: int):
+def _exit_mask(cone: ConeGeometry, pts: np.ndarray, through: int | None,
+               tie_wall: int) -> np.ndarray:
+    """The exits through wall ``through`` first, or all for None; one across
+    both walls at once counts as through ``tie_wall``."""
     viol1, viol2 = cone.wall_violations(pts)
-    both = viol1 & viol2
-    bucket1 = (viol1 & ~viol2) | (both if tie_wall == 1 else np.zeros_like(both))
-    bucket2 = (viol2 & ~viol1) | (both if tie_wall == 2 else np.zeros_like(both))
-    return bucket1, bucket2
-
-
-def _restriction_mask(cone: ConeGeometry, pts: np.ndarray, restriction: str,
-                      payoff: str) -> np.ndarray:
-    """Exit-point filter; simultaneous two-wall exits join the bucket of
-    the payoff's own wall (the opposite-wall events stay strict)."""
-    tie_wall = 2 if payoff == "linear_wall2" else 1
-    bucket1, bucket2 = _exit_masks(cone, pts, tie_wall)
-    if restriction == "all_exits":
-        return bucket1 | bucket2
-    return bucket1 if restriction == "only_wall1_first" else bucket2
+    if through is None:
+        return viol1 | viol2
+    own, other = (viol1, viol2) if through == 1 else (viol2, viol1)
+    return own if through == tie_wall else own & ~other
 
 
 def _as_tilt(law: StepLaw, a) -> TiltPoint:
-    point = as_tilt_point(law, a)
+    point = tilt_point(law, a)
     if not point.in_closed_set:
         raise ValueError(
             f"tilt lies outside the unit level set (mgf = {point.value!r})")
@@ -473,59 +455,60 @@ def _as_tilt(law: StepLaw, a) -> TiltPoint:
 
 
 def _bracket_field(domain: TruncatedDomain, kind: str, av: np.ndarray,
-                   b: np.ndarray, w: np.ndarray, far_values,
-                   a: np.ndarray | None = None) -> HarmonicField:
-    """Both brackets of ``(I - P_a) x = b + far`` from one two-column solve:
-    ``far_values(points)`` gives the lower and upper substitute values at
-    the far-frontier successors, which enter with the per-atom weights ``w``."""
+                   b: np.ndarray, far_values,
+                   tilt: TiltPoint | None = None) -> HarmonicField:
+    """Both brackets of ``(I - P_a) x = b + far`` from one two-column solve,
+    ``a`` the tilt point ``tilt`` (None: untilted): ``far_values(points)``
+    gives the lower and upper substitute values at the far-frontier
+    successors, which enter with the kernel's per-atom weights."""
+    w = domain.law.probs if tilt is None else tilt.weights
     B = np.column_stack([b, b])
     src, atom, pts = domain.successors(FAR)
     if len(src):
         for col, vals in zip(B.T, far_values(pts)):
             col += np.bincount(src, weights=w[atom] * vals,
                                minlength=domain.n_states)
-    lo, hi = domain.solve(B, a).T
+    lo, hi = domain.solve(B, tilt).T
     return HarmonicField(domain=domain, kind=kind, a=av.copy(),
                          lo=np.minimum(lo, hi), hi=np.maximum(lo, hi))
 
 
-def exit_expectation(domain: TruncatedDomain, a, payoff: str = "exp",
-                     restriction: str = "all_exits",
+def exit_expectation(domain: TruncatedDomain, a, wall: int | None = None,
+                     through: int | None = None,
                      delta_grid=DEFAULT_DELTA_GRID) -> HarmonicField:
     """Bracket ``E_z[g(S at exit); exit happens]`` for every domain state,
     for the walk with the domain's law, killed outside the domain's cone.
 
-    ``payoff`` selects ``g``: ``exp`` is ``exp(a.y)``; ``linear_wall1`` and
-    ``linear_wall2`` are ``(f_i.y) exp(a.y)``.  ``restriction`` keeps only
-    exits through one wall (strictly before the other; simultaneous exits
-    follow the tie rule in :func:`_restriction_mask`).  The walk itself is
+    ``g`` is ``exp(a.y)`` for ``wall`` None, else ``(f_i.y) exp(a.y)`` for
+    wall ``i``.  ``through`` keeps only the exits through that wall
+    strictly before the other (all exits for None); an exit across both
+    at once counts for the payoff's wall, or wall 1.  The walk itself is
     not tilted; ``a`` only enters the payoff, and must lie in the closed
     unit level set for the truncation bounds to be certified.
     """
-    if payoff not in PAYOFFS:
-        raise ValueError(f"unknown payoff {payoff!r}")
-    if restriction not in RESTRICTIONS:
-        raise ValueError(f"unknown restriction {restriction!r}")
+    for name, value in (("wall", wall), ("through", through)):
+        if value not in (None, 1, 2):
+            raise ValueError(f"{name} must be None, 1 or 2, not {value!r}")
     law, cone = domain.law, domain.cone
     point = _as_tilt(law, a)
     av = point.a
 
     src, atom, pts = domain.successors(EXIT)
     g = np.exp(pts @ av)
-    if payoff != "exp":
-        wall = 1 if payoff == "linear_wall1" else 2
+    if wall is not None:
         g = g * (pts.astype(float) @ cone.normal(wall))
-    mask = _restriction_mask(cone, pts, restriction, payoff)
+    mask = _exit_mask(cone, pts, through, tie_wall=wall or 1)
     b = np.bincount(src, weights=law.probs[atom] * g * mask,
                     minlength=domain.n_states)
 
     def far_values(pts):
-        bounds = FarBounds.build(law, cone, av, payoff, delta_grid)
+        bounds = FarBounds.build(law, cone, av, wall, delta_grid)
         pts = pts.astype(float)
-        return bounds.values(restriction, np.exp(pts @ av), pts @ cone.f1,
+        return bounds.values(through, np.exp(pts @ av), pts @ cone.f1,
                              pts @ cone.f2)
 
-    return _bracket_field(domain, payoff, av, b, law.probs, far_values)
+    return _bracket_field(domain, f"linear{wall}" if wall else "exp", av, b,
+                          far_values)
 
 
 def survival_probability(domain: TruncatedDomain, a) -> HarmonicField:
@@ -552,7 +535,7 @@ def survival_probability(domain: TruncatedDomain, a) -> HarmonicField:
 
     field = _bracket_field(domain, "survival", av,
                            np.full(domain.n_states, max(0.0, 1.0 - point.value)),
-                           law.tilt(av).weights, far_values, a=av)
+                           far_values, tilt=point)
     for v in (field.lo, field.hi):  # clipping is monotone: still ordered
         np.clip(v, 0.0, 1.0, out=v)
     return field
@@ -596,7 +579,7 @@ def green_column(domain: TruncatedDomain, target) -> HarmonicField:
     t = domain.index_of(target)
     b = np.zeros(domain.n_states)
     b[t] = 1.0
-    return _bracket_field(domain, "green", np.zeros(2), b, law.probs, lambda pts: (
+    return _bracket_field(domain, "green", np.zeros(2), b, lambda pts: (
         np.zeros(len(pts)), _free_green_bound(law, pts - domain.states[t])))
 
 

@@ -2,9 +2,9 @@
 
 A :class:`StepLaw` holds the one-step distribution of a homogeneous random
 walk together with its exponential transforms: the moment generating function
-``mgf(a) = sum_z p(z) exp(a.z)``, its gradient and Hessian, and exponentially
-tilted versions of the law.  Everything is an exact finite sum, so the only
-numerical hazard is exponent overflow, which is guarded explicitly.
+``mgf(a) = sum_z p(z) exp(a.z)``, its gradient and Hessian, all built on the
+tilted weights ``p(z) exp(a.z)``.  Everything is an exact finite sum, so the
+only numerical hazard is exponent overflow, which is guarded explicitly.
 """
 
 from __future__ import annotations
@@ -109,49 +109,19 @@ class StepLaw:
 
     def mgf_grad(self, a) -> np.ndarray:
         """Gradient of :meth:`mgf`; equals :meth:`drift` at ``a = 0``."""
-        a = _as_vec(a)
-        w = self.probs * np.exp(self._dots(a))
-        return self.steps.T @ w
+        return self.steps.T @ self._weights(_as_vec(a))
 
     def mgf_hessian(self, a) -> np.ndarray:
         """Hessian ``sum_z z z^T p(z) exp(a.z)``, symmetric positive definite."""
-        a = _as_vec(a)
-        w = self.probs * np.exp(self._dots(a))
+        w = self._weights(_as_vec(a))
         s = self.steps.astype(float)
         return (s.T * w) @ s
 
-    def tilt(self, a) -> "TiltedLaw":
-        """Exponentially tilted law with weights ``p(z) exp(a.z)``.
-
-        The weights are left unnormalised; their sum is ``mgf(a)``, so the
-        tilted kernel is substochastic strictly inside the unit level set
-        of the mgf and stochastic exactly on it.
-        """
-        a = _as_vec(a)
-        weights = self.probs * np.exp(self._dots(a))
-        return TiltedLaw(base=self, a=a, weights=weights,
-                         total_mass=float(weights.sum()))
-
-
-@dataclass(frozen=True)
-class TiltedLaw:
-    """A :class:`StepLaw` reweighted by ``exp(a.z)``, not normalised."""
-
-    base: StepLaw
-    a: np.ndarray
-    weights: np.ndarray
-    total_mass: float
-
-    @property
-    def steps(self) -> np.ndarray:
-        return self.base.steps
-
-    def normalized_probs(self) -> np.ndarray:
-        return self.weights / self.total_mass
-
-    def normalized_drift(self) -> np.ndarray:
-        """Mean increment of the normalised tilted law."""
-        return (self.steps.T @ self.weights) / self.total_mass
+    def _weights(self, a: np.ndarray) -> np.ndarray:
+        """Tilted weights ``p(z) exp(a.z)``, unnormalised: their sum is
+        ``mgf(a)`` up to rounding, so the tilted kernel is substochastic
+        strictly inside the unit level set and stochastic on it."""
+        return self.probs * np.exp(self._dots(a))
 
 
 # -- model validation ------------------------------------------------------

@@ -5,10 +5,11 @@ is strictly convex and compact, the origin lies on its boundary, and the
 normalised gradient is a homeomorphism from the boundary onto the unit
 circle.  This module solves the two directions of that map, locates level
 crossings along rays (used for the opposite-wall offsets and for the
-certified truncation bounds of the lattice solver), and packages boundary
-points as :class:`TiltPoint` values.  Which boundary points have normals
-in a cone's sector, and on which branch, is decided once, by
-``harmonic.classify_spec``; the spec it returns carries the solved point.
+certified truncation bounds of the lattice solver), and packages tilts as
+:class:`TiltPoint` values, whose cached step weights the solver and the
+sampler read.  Which boundary points have normals in a cone's sector, and
+on which branch, is decided once, by ``harmonic.classify_spec``; the spec
+it returns carries the solved point.
 """
 
 from __future__ import annotations
@@ -33,20 +34,26 @@ LEVEL_TOL = 1e-12
 #: Angular tolerance of the normal map round trip.
 ANGLE_TOL = 1e-8
 
+#: Newton steps of :func:`point_with_normal` before its bisection fallback.
+NEWTON_STEPS = 80
+
 
 @dataclass(frozen=True)
 class TiltPoint:
-    """A tilt vector with cached mgf value, gradient, and classification,
-    for the law it was made for."""
+    """A tilt vector with cached mgf value, gradient, tilted step weights
+    ``p(z) exp(a.z)`` and their sum ``mass`` (``value`` up to the last
+    bit), and classification, for the law it was made for."""
 
     a: np.ndarray
     value: float
     grad: np.ndarray
+    weights: np.ndarray = field(repr=False)
+    mass: float = field(repr=False)
     law: StepLaw = field(repr=False)
 
     def __post_init__(self) -> None:
-        self.a.setflags(write=False)
-        self.grad.setflags(write=False)
+        for arr in (self.a, self.grad, self.weights):
+            arr.setflags(write=False)
 
     @property
     def classification(self) -> str:
@@ -64,28 +71,25 @@ class TiltPoint:
 
 
 def tilt_point(law: StepLaw, a) -> TiltPoint:
-    a = np.asarray(a, dtype=float).copy()
-    return TiltPoint(a=a, value=law.mgf(a), grad=law.mgf_grad(a), law=law)
-
-
-def as_tilt_point(law: StepLaw, a) -> TiltPoint:
     """``a`` as a :class:`TiltPoint` of ``law``.
 
     A tilt point is returned as it is, so its cached values are reused;
-    one made for another law raises ``ValueError``, since its value and
-    gradient are that law's.  A plain vector is evaluated.
+    one made for another law raises ``ValueError``, since its values are
+    that law's.  A plain vector is evaluated.
     """
-    if not isinstance(a, TiltPoint):
-        return tilt_point(law, a)
-    if a.law != law:
-        raise ValueError("tilt point was made for a different step law")
-    return a
+    if isinstance(a, TiltPoint):
+        if a.law != law:
+            raise ValueError("tilt point was made for a different step law")
+        return a
+    a = np.asarray(a, dtype=float).copy()
+    value, grad, weights = law.mgf(a), law.mgf_grad(a), law._weights(a)
+    return TiltPoint(a=a, value=value, grad=grad, weights=weights,
+                     mass=float(weights.sum()), law=law)
 
 
 def normal_direction(law: StepLaw, a) -> np.ndarray:
     """Normalised mgf gradient at ``a`` (the outward normal on the boundary)."""
-    grad = (as_tilt_point(law, a).grad if isinstance(a, TiltPoint)
-            else law.mgf_grad(a))
+    grad = tilt_point(law, a).grad if isinstance(a, TiltPoint) else law.mgf_grad(a)
     norm = float(np.linalg.norm(grad))
     if norm < 1e-12:
         raise ZeroGradientError("mgf gradient vanishes; no normal direction here")
@@ -290,18 +294,21 @@ def wall_decay_exponent(law: StepLaw, a, f) -> float:
 # -- the normal map and its inverse ----------------------------------------
 
 
-def point_with_normal(law: StepLaw, q, max_iter: int = 80) -> TiltPoint:
+def point_with_normal(law: StepLaw, q) -> TiltPoint:
     """Boundary point of the level set whose outward normal is ``q``.
 
     Solves ``mgf_grad(a) = lam * q``, ``mgf(a) = 1``, ``lam > 0`` by damped
-    Newton iteration from ``a = 0``; a monotone angular bisection around
-    the interior minimiser serves as fallback.  Equivalently this is the
-    maximiser of ``q . a`` over the level set.
+    Newton iteration from ``a = 0``, at most ``NEWTON_STEPS`` steps; a
+    monotone angular bisection around the interior minimiser serves as
+    fallback.  Equivalently this is the maximiser of ``q . a`` over the
+    level set.  ``q`` must be finite with a non-zero, finite norm.
     """
     q = np.asarray(q, dtype=float)
-    norm = float(np.linalg.norm(q))
-    if norm == 0.0:
-        raise ValueError("normal direction must be non-zero")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = float(np.linalg.norm(q))
+    if not (np.isfinite(q).all() and 0.0 < norm < math.inf):
+        raise ValueError(f"normal direction {q.tolist()} must be finite with "
+                         "a non-zero finite norm")
     q = q / norm
 
     # Seed Newton at the boundary crossing in direction q from the interior
@@ -319,7 +326,7 @@ def point_with_normal(law: StepLaw, q, max_iter: int = 80) -> TiltPoint:
             return None
 
     F = residual(x)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_STEPS):
         if F is None:
             break
         norm_f = float(np.linalg.norm(F))

@@ -1,10 +1,10 @@
 """Property suite behind ``conewalk verify``.
 
-:func:`run_model_suite` solves a model's three boundary specs once (the
-two endpoint specs and the interior spec on the sector bisector), takes
+:func:`boundary_specs` solves a model's three boundary specs once (the
+two endpoint specs and the interior spec on the sector bisector), for
+:func:`run_model_suite` and :func:`overshoot_rows` both.  The runner takes
 the five suite tilts from them, builds the R = 100 and R = 150 domains,
-and hands those same objects to the ten checks.  Each ``check_*``
-returns its verdict and detail line (and, for criterion 3, its
+and hands those same objects to the ten checks.  Each ``check_*`` returns its verdict and detail line (and, for criterion 3, its
 simulation rows); the runner names, numbers and times them in one
 place.  A check given a domain reads the law and cone from it.
 """
@@ -277,8 +277,8 @@ def check_bracket_invariants(d_small: TruncatedDomain,
         comp_worst = max(comp_worst,
                          float(np.abs(s.lo + u_s.hi * scale_s - 1.0).max()),
                          float(np.abs(s.hi + u_s.lo * scale_s - 1.0).max()))
-        u1 = exit_expectation(d_small, point, restriction="only_wall1_first")
-        u2 = exit_expectation(d_small, point, restriction="only_wall2_first")
+        u1 = exit_expectation(d_small, point, through=1)
+        u2 = exit_expectation(d_small, point, through=2)
         # The exit buckets partition: lower substitutes add exactly, and
         # the summed bucket brackets must contain the all-exits bracket.
         add_worst = max(
@@ -305,12 +305,18 @@ def check_local_irreducibility(law: StepLaw, cone: ConeGeometry):
 # -- the full per-model suite -------------------------------------------------
 
 
-def run_model_suite(cfg, mc_samples: int = 100_000,
+def boundary_specs(cfg) -> list[HarmonicSpec]:
+    """The endpoint 1, endpoint 2 and sector-bisector specs of one parsed
+    model config, in that order."""
+    law, cone = cfg.law, cfg.cone
+    return [spec_for_endpoint(law, cone, 1), spec_for_endpoint(law, cone, 2),
+            spec_for_direction(law, cone, _mid_direction(cone))]
+
+
+def run_model_suite(cfg, specs: list[HarmonicSpec], mc_samples: int = 100_000,
                     horizon: int = 10_000) -> list[CriterionResult]:
     """Run all ten checks for one parsed model config, in order."""
     law, cone, seed = cfg.law, cfg.cone, cfg.seed
-    specs = [spec_for_endpoint(law, cone, 1), spec_for_endpoint(law, cone, 2),
-             spec_for_direction(law, cone, _mid_direction(cone))]
     tilts = _suite_tilts(law, specs)
     d100 = build_domain(cone, law, 100)
     d150 = build_domain(cone, law, 150)
@@ -326,17 +332,17 @@ def run_model_suite(cfg, mc_samples: int = 100_000,
     return results
 
 
-def overshoot_rows(cfg) -> list[tuple]:
-    """Overshoot-moment estimate rows at both endpoint tilts, from a state
-    next to each wall; empty for a cone without rational wall normals."""
+def overshoot_rows(cfg, endpoint_specs: list[HarmonicSpec]) -> list[tuple]:
+    """Overshoot-moment estimate rows at both endpoint specs' tilts, from a
+    state next to each wall; empty for a cone without rational wall normals."""
     if not cfg.cone.is_exact:
         return []
     rows = []
-    for wall in (1, 2):
-        probe = _wall_adjacent_probe(cfg.cone, wall, depth=8.0)
-        est = overshoot_moment(spec_for_endpoint(cfg.law, cfg.cone, wall),
-                               probe, horizon=200_000, n=500,
-                               rng=RngSpec(cfg.seed, 90 + wall))
-        rows.append(("overshoot_moment", f"wall={wall} z={probe} horizon=200000",
+    for spec in endpoint_specs:
+        probe = _wall_adjacent_probe(cfg.cone, spec.wall, depth=8.0)
+        est = overshoot_moment(spec, probe, horizon=200_000, n=500,
+                               rng=RngSpec(cfg.seed, 90 + spec.wall))
+        rows.append(("overshoot_moment",
+                     f"wall={spec.wall} z={probe} horizon=200000",
                      est.mean, est.stderr, est.n, est.truncated_fraction))
     return rows

@@ -7,7 +7,7 @@ to see them all.
 import pytest
 
 from conftest import MODEL_NAMES, load_config
-from conewalk.verify import run_model_suite
+from conewalk.verify import boundary_specs, run_model_suite
 
 CRITERIA = {
     1: "normal map round trip",
@@ -29,8 +29,8 @@ def suite_for(name: str):
     if name not in _cache:
         cfg = load_config(name)
         _cache[name] = {r.number: r for r in
-                        run_model_suite(cfg, mc_samples=100_000,
-                                        horizon=10_000)}
+                        run_model_suite(cfg, boundary_specs(cfg),
+                                        mc_samples=100_000, horizon=10_000)}
     return _cache[name]
 
 

@@ -107,11 +107,24 @@ atom 0 -1 0.25
         ["--radius", "20", "martin", "--radii=0"],
         ["validate", "--box-radius=-1"],
         ["validate", "--box-radius=0"],
+        ["harmonic", "--q=inf,1"],
+        ["harmonic", "--q=nan,1"],
+        ["harmonic", "--q=1e308,1e308"],
+        ["harmonic", "--q=0,0"],
+        ["harmonic", "--endpoint", "1", "--q=1,0.2"],
+        ["martin", "--q=nan,1"],
+        ["martin", "--q=inf,1"],
+        ["martin", "--q=1e308,1e308"],
+        ["--radius", "20", "martin", "--radii=inf"],
+        ["--radius", "20", "martin", "--radii=6,nan"],
     ], ids=["domain-over-cap", "q-outside-sector", "q-malformed",
             "probe-off-domain", "endpoint-invalid-choice", "radius-not-int",
             "radius-zero", "boundary-samples-zero", "verify-samples-zero",
             "martin-radius-negative", "martin-radius-zero",
-            "box-radius-negative", "box-radius-zero"])
+            "box-radius-negative", "box-radius-zero", "q-inf", "q-nan",
+            "q-norm-overflows", "q-zero", "endpoint-and-q", "martin-q-nan",
+            "martin-q-inf", "martin-q-norm-overflows", "martin-radius-inf",
+            "martin-radius-nan"])
     def test_bad_input_exits_3_with_one_line(self, tmp_path, capsys, argv):
         path = write_config(tmp_path, GOOD_CONFIG)
         code = main(["--config", str(path), "--out", str(tmp_path / "out"),

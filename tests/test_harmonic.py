@@ -76,8 +76,7 @@ class TestBuildH:
             d = build_domain(quadrant_cone, law, 30)
             for wall in (1, 2):
                 spec = spec_for_endpoint(law, quadrant_cone, wall)
-                u = exit_expectation(d, spec.tilt,
-                                     payoff=f"linear_wall{wall}")
+                u = exit_expectation(d, spec.tilt, wall=wall)
                 z = d.states.astype(float)
                 lead = (z @ quadrant_cone.normal(wall)) * np.exp(z @ spec.tilt.a)
                 assert np.all(u.lo <= lead + 1e-10 * np.maximum(lead, 1.0))

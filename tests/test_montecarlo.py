@@ -42,28 +42,35 @@ def finite_horizon_exit_probability(law, cone, a, z0, horizon):
     return exited
 
 
-def one_path(tilted, cone, z0, horizon, rng):
+def no_escape():
+    """Patches out the escape stop: no path is declared escaped."""
+    return mock.patch.object(montecarlo, "_escape_distances",
+                             lambda *args: None)
+
+
+def one_path(point, cone, z0, horizon, rng):
     """Code, step count and exit point of one path, without early stop."""
-    which, steps, pts = _simulate_batch(tilted, cone, z0, horizon,
-                                        rng.generator(), 1, early_stop=False)
+    with no_escape():
+        which, steps, pts = _simulate_batch(point, cone, z0, horizon,
+                                            rng.generator(), 1)
     return int(which[0]), int(steps[0]), (int(pts[0, 0]), int(pts[0, 1]))
 
 
 class TestSampling:
     def test_replay_is_identical(self, law4, quadrant_cone):
-        t = law4.tilt((0.0, 0.0))
+        t = tilt_point(law4, (0.0, 0.0))
         r1 = one_path(t, quadrant_cone, (3, 3), 500, RngSpec(7, 3))
         r2 = one_path(t, quadrant_cone, (3, 3), 500, RngSpec(7, 3))
         assert r1 == r2
 
     def test_different_streams_differ(self, law4, quadrant_cone):
-        t = law4.tilt((0.0, 0.0))
+        t = tilt_point(law4, (0.0, 0.0))
         records = [one_path(t, quadrant_cone, (2, 2), 2000, RngSpec(7, s))
                    for s in range(20)]
         assert len({(code, steps) for code, steps, _ in records}) > 1
 
     def test_start_outside_exits_immediately(self, law4, quadrant_cone):
-        t = law4.tilt((0.0, 0.0))
+        t = tilt_point(law4, (0.0, 0.0))
         code, steps, point = one_path(t, quadrant_cone, (-2, 3), 100,
                                       RngSpec(1, 0))
         assert steps == 0
@@ -73,13 +80,13 @@ class TestSampling:
     def test_guard_band_exit_keeps_its_wall(self, law4):
         # (1, 1) lies on wall 1 up to rounding, inside the guard band.
         cone = build_cone_from_angles(45.0, 105.0)
-        code, steps, _ = one_path(law4.tilt((0.0, 0.0)), cone, (1, 1), 10,
+        code, steps, _ = one_path(tilt_point(law4, (0.0, 0.0)), cone, (1, 1), 10,
                                   RngSpec(1, 0))
         assert steps == 0
         assert code == 1
 
     def test_horizon_record_has_no_exit_point(self, law4, quadrant_cone):
-        t = law4.tilt((0.0, 0.0))
+        t = tilt_point(law4, (0.0, 0.0))
         code, steps, point = one_path(t, quadrant_cone, (50, 50), 3,
                                       RngSpec(1, 1))
         assert code == 0  # horizon
@@ -88,22 +95,43 @@ class TestSampling:
 
     def test_kill_events_recorded_for_substochastic_tilt(self, law4,
                                                          quadrant_cone):
-        t = law4.tilt((-0.5, -0.5))
-        assert 1.0 - t.total_mass > 0.15
+        t = tilt_point(law4, (-0.5, -0.5))
+        assert 1.0 - t.mass > 0.15
         gen = RngSpec(2, 0).generator()
-        which, steps, _ = _simulate_batch(t, quadrant_cone, (30, 30), 10_000,
-                                          gen, 500, early_stop=False)
+        with no_escape():
+            which, steps, _ = _simulate_batch(t, quadrant_cone, (30, 30),
+                                              10_000, gen, 500)
         assert (which == -1).sum() > 300  # most paths die by kill
+
+    def test_kill_threshold_is_the_weights_sum(self, law4, quadrant_cone):
+        # The point's mgf value can differ from the weights' sum in the
+        # last bit; the kernel kills on the sum, as it always has.
+        point = tilt_point(law4, (-0.3, 0.1))
+        seen, walk = [], montecarlo._walk
+
+        def recorded(cum, steps, mass, *args):
+            seen.append((cum, steps, mass))
+            return walk(cum, steps, mass, *args)
+
+        with mock.patch.object(montecarlo, "_walk", recorded):
+            _simulate_batch(point, quadrant_cone, (3, 3), 10,
+                            RngSpec(1, 0).generator(), 5)
+        (cum, steps, mass), = seen
+        weights = law4.probs * np.exp(law4.steps @ point.a)
+        assert mass == float(weights.sum())
+        assert np.array_equal(cum, np.cumsum(weights))
+        assert steps is law4.steps
 
     def test_exit_mix_against_exact_finite_horizon(self, law4, quadrant_cone):
         horizon, n = 12, 40_000
         a = 0.5 * point_with_normal(law4, (0.0, 1.0)).a
         exact = finite_horizon_exit_probability(law4, quadrant_cone, a,
                                                 (2, 2), horizon)
-        t = law4.tilt(a)
+        t = tilt_point(law4, a)
         gen = RngSpec(3, 5).generator()
-        which, steps, _ = _simulate_batch(t, quadrant_cone, (2, 2), horizon,
-                                          gen, n, early_stop=False)
+        with no_escape():
+            which, steps, _ = _simulate_batch(t, quadrant_cone, (2, 2),
+                                              horizon, gen, n)
         p_hat = float((which > 0).sum()) / n
         se = math.sqrt(exact * (1 - exact) / n)
         assert abs(p_hat - exact) <= 4.0 * se
@@ -113,22 +141,24 @@ class TestSampling:
         # A tilt whose gradient points out of the sector drives the walk
         # into a wall; the empirical exit fraction climbs towards one.
         p = point_with_normal(law4, (-1.0, 0.2))
-        t = law4.tilt(p.a)
-        assert t.normalized_drift()[0] < 0
+        t = tilt_point(law4, p.a)
+        assert (law4.steps.T @ t.weights)[0] < 0
         fractions = []
         for horizon in (20, 200, 2000):
             gen = RngSpec(6, 1).generator()
-            which, _, _ = _simulate_batch(t, quadrant_cone, (10, 10), horizon,
-                                          gen, 2000, early_stop=False)
+            with no_escape():
+                which, _, _ = _simulate_batch(t, quadrant_cone, (10, 10),
+                                              horizon, gen, 2000)
             fractions.append(float((which > 0).sum()) / 2000)
         assert fractions[0] < fractions[-1]
         assert fractions[-1] > 0.99
 
     def test_absorption_monotone_in_horizon(self, law4, quadrant_cone):
-        t = law4.tilt((0.0, 0.0))
+        t = tilt_point(law4, (0.0, 0.0))
         gen = RngSpec(4, 2).generator()
-        which, steps, _ = _simulate_batch(t, quadrant_cone, (3, 3), 2000,
-                                          gen, 5000, early_stop=False)
+        with no_escape():
+            which, steps, _ = _simulate_batch(t, quadrant_cone, (3, 3), 2000,
+                                              gen, 5000)
         fractions = [float(((which > 0) & (steps <= h)).sum()) / 5000
                      for h in (10, 50, 200, 2000)]
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
@@ -145,9 +175,10 @@ def atom_cumulatives(draw):
     law = StepLaw({z: m / sum(mass) for z, m in zip(steps, mass)})
     if not draw(st.booleans()):
         return np.cumsum(law.probs)
-    tilted = law.tilt(draw(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))))
+    tilted = tilt_point(law, draw(st.tuples(st.floats(-0.5, 0.5),
+                                            st.floats(-0.5, 0.5))))
     kept = draw(st.floats(0.05, 0.999))
-    return np.cumsum(tilted.weights * (kept / tilted.total_mass))
+    return np.cumsum(tilted.weights * (kept / tilted.mass))
 
 
 class TestAtomIndex:
@@ -180,7 +211,7 @@ class TestBlockBoundaries:
     ])
     def test_exit_lands_on_its_step(self, quadrant_cone, n, atom, exit_step,
                                     exit_point):
-        t = StepLaw({atom: 1.0}).tilt((0.0, 0.0))
+        t = tilt_point(StepLaw({atom: 1.0}), (0.0, 0.0))
 
         def run(horizon):
             return _simulate_batch(t, quadrant_cone, (5, 3), horizon,
@@ -364,13 +395,15 @@ class TestKernelMatchesReference:
         deep = np.rint(100.0 * (cone.c1 + cone.c2)).astype(int)
         z0 = data.draw(st.sampled_from(starts + [(int(deep[0]), int(deep[1]))]))
         s = data.draw(st.sampled_from((0.0, 0.3, 1.0)))
-        tilted = law.tilt(s * interior_minimum(law))
-        assert tilted.total_mass <= 1.0
-        early_stop = data.draw(st.booleans())
+        point = tilt_point(law, s * interior_minimum(law))
+        assert point.mass <= 1.0
+        # With and without the escape stop.
+        escape = (montecarlo._escape_distances if data.draw(st.booleans())
+                  else lambda *args: None)
 
         def call(rng):
-            return _simulate_batch(tilted, cone, z0, horizon, rng, n,
-                                   early_stop)
+            with mock.patch.object(montecarlo, "_escape_distances", escape):
+                return _simulate_batch(point, cone, z0, horizon, rng, n)
 
         run = _with_kernel(montecarlo._walk, n, call)
         ref = _with_kernel(_reference_walk, n, call)

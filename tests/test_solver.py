@@ -16,7 +16,7 @@ from conewalk import (Bracket, DomainSizeError, StepLaw, build_cone,
                       spec_for_endpoint, survival_probability, tilt_point)
 from conewalk.cli import _default_probes
 from conewalk.solver import (EXIT, FAR, HarmonicField, ResidualReport,
-                             _exit_masks, _free_green_bound, _gauss_seidel,
+                             _exit_mask, _free_green_bound, _gauss_seidel,
                              _SweepOperator, _UnitLower)
 
 
@@ -53,7 +53,7 @@ def reference_kernel(d, a=None) -> sp.csr_matrix:
     """``P_a`` of the domain, summed into CSR from its ``(state, successor,
     weight)`` triples."""
     law = d.law
-    w = law.probs if a is None else law.tilt(a).weights
+    w = law.probs if a is None else law.probs * np.exp(law.steps @ a)
     src, atom = np.nonzero(d.succ >= 0)
     return sp.coo_matrix((w[atom], (src, d.succ[src, atom])),
                          shape=(d.n_states,) * 2).tocsr()
@@ -122,9 +122,11 @@ class TestDomain:
         with pytest.raises(ValueError):
             build_domain(quadrant_cone, law5, 3)  # max_jump 2
 
-    def test_state_cap(self, law4, quadrant_cone):
-        with pytest.raises(DomainSizeError):
-            build_domain(quadrant_cone, law4, 60, max_states=100)
+    def test_state_cap(self, law4, quadrant_cone, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_STATES", 100)
+        with pytest.raises(DomainSizeError, match="more than 100 states"):
+            build_domain(quadrant_cone, law4, 60)
+        assert build_domain(quadrant_cone, law4, 10).n_states == 100
 
     def test_oversized_box_rejected_before_enumeration(self, law4,
                                                        quadrant_cone):
@@ -168,8 +170,11 @@ class TestDomain:
         for cone in (build_cone_from_angles(0.0, 26.565051177077994), cone45):
             out = pts[~cone.contains_array(pts)]
             for tie_wall in (1, 2):
-                bucket1, bucket2 = _exit_masks(cone, out, tie_wall)
-                assert (bucket1 ^ bucket2).all()
+                bucket1, bucket2, every = (_exit_mask(cone, out, through, tie_wall)
+                                           for through in (1, 2, None))
+                assert not (bucket1 & bucket2).any()
+                assert np.array_equal(bucket1 | bucket2, every)
+                assert every.all()
 
 
 @st.composite
@@ -244,7 +249,7 @@ class TestSuccessorTableProperties:
                         data.append(w[k])
             ref = sp.csr_matrix((data, (src, dst)), shape=(d.n_states,) * 2)
             assert_same_arrays(reference_kernel(d, a), ref)
-            A, _ = d._system(a)
+            A, _ = d._system(None if a is None else tilt_point(law, a))
             assert_same_arrays(
                 A, (sp.identity(d.n_states, format="csr") - ref).tocsc())
 
@@ -258,15 +263,16 @@ class TestSuccessorTableProperties:
         d = _small_domain(law, cone, radius)
         for a in (None, tilt):
             A_ref = reference_system(d, a)
+            point = None if a is None else tilt_point(law, a)
             d._lu_cache.clear()
             # splu would canonicalise A in place; check it as laid out.
             with mock.patch.object(solver.spla, "splu", lambda A, **kw: None):
-                A, _ = d._system(a)
+                A, _ = d._system(point)
             assert_same_arrays(A, A_ref)
             ref = reference_operator(A_ref)
             d._lu_cache.clear()
             with mock.patch.object(solver, "DIRECT_LIMIT", 0):
-                kept, op = d._system(a)
+                kept, op = d._system(point)
             assert kept is None
             assert_same_arrays(op.lower, ref.lower)
             assert_same_arrays(op.upper, ref.upper)
@@ -316,7 +322,7 @@ class TestExitExpectation:
                                                                quadrant_cone):
         point = point_with_normal(law4, (0.0, 1.0))
         d = build_domain(quadrant_cone, law4, 8)
-        u = exit_expectation(d, point, payoff="linear_wall1")
+        u = exit_expectation(d, point, wall=1)
         oracle = dp_exit_expectation(law4, quadrant_cone, 8, point.a,
                                      payoff_wall=1)
         for z, val in oracle.items():
@@ -349,8 +355,8 @@ class TestExitExpectation:
         d = build_domain(quadrant_cone, law4, 15)
         p = tilt_point(law4, (0.0, 0.0))
         u_all = exit_expectation(d, p)
-        u1 = exit_expectation(d, p, restriction="only_wall1_first")
-        u2 = exit_expectation(d, p, restriction="only_wall2_first")
+        u1 = exit_expectation(d, p, through=1)
+        u2 = exit_expectation(d, p, through=2)
         assert np.allclose(u1.lo + u2.lo, u_all.lo, atol=1e-13)
         assert np.all(u_all.hi <= u1.hi + u2.hi + 1e-13)
 
@@ -358,7 +364,7 @@ class TestExitExpectation:
         d = build_domain(quadrant_cone, law4, 15)
         a = 0.5 * point_with_normal(law4, (1.0, 0.0)).a
         p = tilt_point(law4, a)
-        u2 = exit_expectation(d, p, restriction="only_wall2_first")
+        u2 = exit_expectation(d, p, through=2)
         scale = np.exp(-(d.states.astype(float) @ p.a))
         assert np.all(u2.hi * scale <= 1.0 + 1e-12)
 
@@ -366,6 +372,14 @@ class TestExitExpectation:
         d = build_domain(quadrant_cone, law4, 10)
         with pytest.raises(ValueError):
             exit_expectation(d, tilt_point(law4, (1.0, 1.0)))
+
+    @pytest.mark.parametrize("kw", [{"wall": 0}, {"wall": 3}, {"wall": "1"},
+                                    {"through": 0}, {"through": -1},
+                                    {"through": "all"}])
+    def test_unknown_wall_rejected(self, law4, quadrant_cone, kw):
+        d = build_domain(quadrant_cone, law4, 10)
+        with pytest.raises(ValueError, match="must be None, 1 or 2"):
+            exit_expectation(d, (0.0, 0.0), **kw)
 
 
 class TestSurvival:
@@ -636,7 +650,7 @@ class TestSolvers:
         b1 = (rng.uniform(0.0, 1.0, d.n_states)
               * np.exp(d.states @ np.array([0.1, 0.05])))
         b2 = rng.uniform(0.0, 1.0, d.n_states)
-        a = np.array([0.02, -0.01])
+        a = tilt_point(cfg.law, [0.02, -0.01])
         X = d.solve(np.column_stack([b1, b2]), a)
         assert X.shape == (d.n_states, 2)
         x1 = d.solve(b1[:, None], a)
@@ -732,6 +746,23 @@ class TestSolvers:
         d = build_domain(quadrant_cone, law4, 12)
         with pytest.raises(ValueError, match=r"shape \(n, k\)"):
             d.solve(np.ones(d.n_states))
+
+    @pytest.mark.parametrize("path", ["direct", "sweeps"])
+    def test_solve_rejects_tilt_point_of_another_law(self, path, law4, law5,
+                                                     quadrant_cone,
+                                                     monkeypatch):
+        # The operator is laid out from the point's cached weights, which
+        # would be law5's on a law4 domain.
+        if path == "sweeps":
+            monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
+        d = build_domain(quadrant_cone, law4, 12)
+        B = np.ones((d.n_states, 2))
+        for a in [(0.0, 0.0), (-0.1, 0.05)]:
+            with pytest.raises(ValueError, match="different step law"):
+                d.solve(B, tilt_point(law5, a))
+        assert not d._lu_cache
+        own = tilt_point(law4, (-0.1, 0.05))
+        assert np.isfinite(d.solve(B, own)).all()
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_failed_column_reaches_the_caller(self, failing, monkeypatch):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conewalk import RangeOverflowError, StepLaw, validate_model
+from conewalk import (RangeOverflowError, StepLaw, point_with_normal,
+                      tilt_point, validate_model)
 
 LN2 = math.log(2.0)
 
@@ -95,36 +96,51 @@ class TestTransforms:
 
 
 class TestTilt:
+    """The tilted weights ``p(z) exp(a.z)`` and their sum, as a
+    :class:`TiltPoint` caches them."""
+
     def test_zero_tilt_is_identity(self, law4):
-        t = law4.tilt((0.0, 0.0))
-        assert t.total_mass == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(t.weights, law4.probs)
+        t = tilt_point(law4, (0.0, 0.0))
+        assert np.array_equal(t.weights, law4.probs)
+        assert t.mass == float(law4.probs.sum())
+        assert t.mass == pytest.approx(1.0, abs=1e-15)
 
     def test_total_mass_equals_mgf(self, law4, law5):
         rng = np.random.default_rng(3)
         for law in (law4, law5):
             for _ in range(20):
                 a = rng.uniform(-1.5, 1.5, size=2)
-                t = law.tilt(a)
-                assert t.total_mass == pytest.approx(law.mgf(a), rel=1e-14)
+                t = tilt_point(law, a)
+                # The sampler's kill threshold is the weights' own sum,
+                # bit for bit; the mgf value agrees up to rounding.
+                assert t.mass == float(t.weights.sum())
+                assert t.mass == pytest.approx(t.value, rel=1e-14)
+                assert t.value == law.mgf(a)
 
-    def test_weights_formula(self, law4):
-        a = np.array([0.3, -0.2])
-        t = law4.tilt(a)
-        for (z, p), w in zip(sorted(law4.atoms.items()), t.weights):
-            assert w == pytest.approx(p * math.exp(a @ np.array(z)), rel=1e-14)
+    def test_weights_formula(self, law4, law5):
+        rng = np.random.default_rng(5)
+        for law in (law4, law5):
+            for a in [np.array([0.3, -0.2]), *rng.uniform(-1.5, 1.5, (20, 2))]:
+                t = tilt_point(law, a)
+                assert np.array_equal(t.weights, law.probs * np.exp(law.steps @ a))
+                assert not t.weights.flags.writeable
+                for (z, p), w in zip(sorted(law.atoms.items()), t.weights):
+                    assert w == pytest.approx(p * math.exp(a @ np.array(z)),
+                                              rel=1e-14)
 
     def test_interior_tilt_is_substochastic(self, law4):
-        assert law4.tilt((-0.2, -0.1)).total_mass < 1.0
+        assert tilt_point(law4, (-0.2, -0.1)).mass < 1.0
 
     def test_boundary_tilt_drift_matches_gradient(self, law4, law5):
-        from conewalk import point_with_normal
         for law in (law4, law5):
             p = point_with_normal(law, (1.0, 0.0))
-            t = law.tilt(p.a)
-            assert t.total_mass == pytest.approx(1.0, abs=1e-10)
-            assert np.allclose(t.normalized_drift(), law.mgf_grad(p.a),
-                               atol=1e-12)
+            assert p.mass == pytest.approx(1.0, abs=1e-10)
+            assert np.allclose((law.steps.T @ p.weights) / p.mass,
+                               law.mgf_grad(p.a), atol=1e-12)
+
+    def test_overflow_guard(self, law4):
+        with pytest.raises(RangeOverflowError):
+            tilt_point(law4, (800.0, 0.0))
 
 
 class TestValidation:

@@ -7,8 +7,7 @@ from conewalk import (DeltaTooLargeError, NoIntersectionError, StepLaw,
                       boundary_polyline, classify_spec, epsilon_for_delta,
                       interior_minimum, normal_direction, point_with_normal,
                       spec_for_endpoint, tilt_point, wall_decay_exponent)
-from conewalk.tiltgeom import (_point_with_normal_bisect, as_tilt_point,
-                               largest_level_shift)
+from conewalk.tiltgeom import _point_with_normal_bisect, largest_level_shift
 
 LN2 = math.log(2.0)
 
@@ -53,6 +52,14 @@ class TestNormalMap:
                 qq = normal_direction(law, p)
                 ang = math.atan2(abs(qq[0] * q[1] - qq[1] * q[0]), qq @ q)
                 assert ang <= 1e-8
+
+    @pytest.mark.parametrize("q", [(0.0, 0.0), (math.inf, 1.0),
+                                   (math.nan, 1.0), (1.0, -math.inf),
+                                   (1e308, 1e308), (5e-324, 0.0)])
+    def test_bad_direction_rejected(self, law4, q):
+        # Overflowing and vanishing norms too, without a numpy warning.
+        with pytest.raises(ValueError, match="non-zero finite norm"):
+            point_with_normal(law4, q)
 
     def test_strict_convexity_witness(self, law4):
         rng = np.random.default_rng(5)
@@ -106,7 +113,7 @@ class TestNormalMap:
     def test_tilt_point_of_an_equal_law_reused(self, law5, monkeypatch):
         point = point_with_normal(law5, (1.0, 1.0))
         evals = _count_mgf_evals(monkeypatch)
-        assert as_tilt_point(StepLaw(dict(law5.atoms)), point) is point
+        assert tilt_point(StepLaw(dict(law5.atoms)), point) is point
         assert np.array_equal(normal_direction(law5, point),
                               point.grad / np.linalg.norm(point.grad))
         assert not evals

@@ -17,7 +17,9 @@ from pathlib import Path
 import pytest
 
 from conftest import load_config
-from conewalk import exit_expectation, solver, spec_for_endpoint, verify
+from conewalk import (MCEstimate, exit_expectation, solver, spec_for_endpoint,
+                      verify)
+from conewalk.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -50,7 +52,9 @@ def test_tracer_names_resolve(tracer):
     assert isinstance(solver.FarBounds.__dict__["build"], classmethod)
 
 
-def test_suite_runner_shares_its_inputs(tracer, monkeypatch):
+def _stub_checks(tracer, monkeypatch) -> list:
+    """Replace every check by a stub recording its arguments; criterion 3
+    returns one simulation row."""
     calls = []
 
     def stub(name):
@@ -62,7 +66,11 @@ def test_suite_runner_shares_its_inputs(tracer, monkeypatch):
 
     for name in tracer.CRITERIA:
         monkeypatch.setattr(verify, name, stub(name))
-    # Count every call of the normal-map solver, wherever it is bound.
+    return calls
+
+
+def _count_normal_solves(monkeypatch) -> list:
+    """Count every call of the normal-map solver, wherever it is bound."""
     original = sys.modules["conewalk.tiltgeom"].point_with_normal
     solved = []
 
@@ -74,8 +82,15 @@ def test_suite_runner_shares_its_inputs(tracer, monkeypatch):
         if mod_name.startswith("conewalk") and \
                 getattr(mod, "point_with_normal", None) is original:
             monkeypatch.setattr(mod, "point_with_normal", counted)
+    return solved
 
-    results = verify.run_model_suite(load_config("quadrant"))
+
+def test_suite_runner_shares_its_inputs(tracer, monkeypatch):
+    calls = _stub_checks(tracer, monkeypatch)
+    solved = _count_normal_solves(monkeypatch)
+    cfg = load_config("quadrant")
+    specs = verify.boundary_specs(cfg)
+    results = verify.run_model_suite(cfg, specs)
 
     assert [name for name, _ in calls] == list(tracer.CRITERIA)
     assert len(solved) == 3
@@ -85,7 +100,7 @@ def test_suite_runner_shares_its_inputs(tracer, monkeypatch):
     assert all(r.mc_rows == [] for k, r in enumerate(results) if k != 2)
 
     args = dict(calls)
-    specs = args["check_harmonicity"][1]
+    assert args["check_harmonicity"][1] is specs
     assert [s.wall for s in specs] == [1, 2, None]
     assert args["check_positivity_refinement"][2] is specs
     assert args["check_quadrant_reference"][0] is specs
@@ -106,6 +121,30 @@ def test_suite_runner_shares_its_inputs(tracer, monkeypatch):
     assert args["check_endpoint_survival_decay"][0] is d100
 
 
+def test_verify_solves_each_boundary_spec_once(tracer, monkeypatch, tmp_path):
+    # The suite and the overshoot rows of `verify --out` share the
+    # endpoint specs: three normal-map solves per model, not five.
+    calls = _stub_checks(tracer, monkeypatch)
+    solved = _count_normal_solves(monkeypatch)
+    sampled = []
+
+    def overshoot(spec, *args, **kwargs):
+        sampled.append(spec)
+        return MCEstimate(mean=1.0, stderr=0.0, n=1, truncated_fraction=0.0)
+
+    monkeypatch.setattr(verify, "overshoot_moment", overshoot)
+    code = main(["--config", str(ROOT / "configs" / "quadrant.cfg"),
+                 "--out", str(tmp_path), "--quiet", "verify"])
+    assert code == 0
+    assert len(solved) == 3
+    specs = dict(calls)["check_harmonicity"][1]
+    assert len(sampled) == 2
+    assert all(a is b for a, b in zip(sampled, specs[:2]))
+    rows = (tmp_path / "quadrant_mc_estimates.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows if not r.startswith("#")][-2:] == \
+        ["overshoot_moment"] * 2
+
+
 def test_exact_counters_see_every_factorisation(tracer, monkeypatch):
     # The tracer counts factorisations and reads args[0].nnz through a
     # proxy for solver.spla, which the solver must look up at call time.
@@ -119,8 +158,7 @@ def test_exact_counters_see_every_factorisation(tracer, monkeypatch):
     monkeypatch.setattr(solver, "spla", tracer._LinalgProxy(linalg, {"splu": splu}))
     cfg = load_config("asymmetric")
     d = solver.build_domain(cfg.cone, cfg.law, 40)
-    exit_expectation(d, spec_for_endpoint(cfg.law, cfg.cone, 1).tilt,
-                     payoff="linear_wall1")
+    exit_expectation(d, spec_for_endpoint(cfg.law, cfg.cone, 1).tilt, wall=1)
     assert len(calls) == 1
     A, _ = d._lu_cache[None]
     assert calls[0][0] is A
