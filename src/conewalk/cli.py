@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .cone import (ConeGeometry, _angle_between, build_cone,
                    build_cone_from_angles)
-from .errors import DomainSizeError, NonConvergenceError
+from .errors import DomainSizeError, NonConvergenceError, RangeOverflowError
 from .harmonic import build_h, check_positive, spec_for_direction, spec_for_endpoint
 from .montecarlo import martin_ratio_table
 from .solver import build_domain, harmonicity_residual
@@ -268,11 +268,10 @@ def cmd_martin(cfg: ModelConfig, args) -> int:
             probes.append((int(x), int(y)))
     else:
         probes = _default_probes(cfg, 3)
-    z_ref = probes[0]
     rows = martin_ratio_table(build_domain(cfg.cone, cfg.law, radius), q,
-                              radii, probes, z_ref)
+                              radii, probes)
     out = _out_dir(args) / f"{cfg.name}_martin.csv"
-    _write_csv(out, cfg, [f"reference state {z_ref}"],
+    _write_csv(out, cfg, [f"reference state {probes[0]}"],
                ["r", "target_x", "target_y", "probe_x", "probe_y",
                 "green_ratio", "h_ratio", "degenerate"],
                ((r.radius, r.target[0], r.target[1], r.probe[0], r.probe[1],
@@ -389,10 +388,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (DomainSizeError, ValueError, KeyError) as exc:
+    except (DomainSizeError, RangeOverflowError, ValueError, KeyError) as exc:
         # Input only the library can reject: a domain over the state cap, a
-        # direction outside the sector, a malformed option, a probe off the
-        # domain.  KeyError's str() quotes its message, so print args[0].
+        # radius whose payoff overflows, a direction outside the sector, a
+        # malformed option, a probe off the domain.  KeyError's str()
+        # quotes its message, so print args[0].
         print(f"invalid input: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 3
 

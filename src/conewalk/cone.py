@@ -29,7 +29,7 @@ def _angle_between(u: np.ndarray, v: np.ndarray) -> float:
     return math.atan2(abs(u[0] * v[1] - u[1] * v[0]), float(u @ v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeGeometry:
     """Boundary rays, inward normals, and membership predicates.
 
@@ -102,11 +102,6 @@ class ConeGeometry:
         """Vectorised :meth:`contains` over an ``(n, 2)`` integer array."""
         bad1, bad2 = self.wall_violations(points)
         return ~(bad1 | bad2)
-
-    def direction_in_sector(self, q, tol: float = 0.0) -> bool:
-        """True iff unit direction ``q`` lies in the closed sector of the cone."""
-        v = np.asarray(q, dtype=float)
-        return bool(self.f1 @ v >= -tol and self.f2 @ v >= -tol)
 
 
 def _build(c1: np.ndarray, c2: np.ndarray,

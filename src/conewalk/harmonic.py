@@ -37,7 +37,7 @@ BRANCH_ANGLE_TOL = 1e-8
 BRANCH_WARN_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HarmonicSpec:
     """A solved boundary tilt together with its cone and its branch of the
     construction; the step law is the one the tilt was solved for."""
@@ -64,17 +64,17 @@ def classify_spec(law: StepLaw, cone: ConeGeometry, a) -> HarmonicSpec:
     """Classify a boundary tilt into its branch by the normal direction.
 
     The tilt must lie on the unit level set with normal in the closed
-    sector.  Normals within ``BRANCH_ANGLE_TOL`` of a boundary ray select
-    that ray's endpoint branch; borderline normals (within ten times the
-    tolerance) attach a warning since the two formulas are different
-    objects.
+    sector, to ``BRANCH_ANGLE_TOL`` along each inward normal.  Normals
+    within ``BRANCH_ANGLE_TOL`` of a boundary ray select that ray's
+    endpoint branch; borderline normals (within ten times the tolerance)
+    attach a warning since the two formulas are different objects.
     """
     point = tilt_point(law, a)
     if not point.on_boundary:
         raise ValueError(f"tilt is not on the level-set boundary "
                          f"(mgf = {point.value!r})")
     q = normal_direction(law, point)
-    if not cone.direction_in_sector(q, tol=BRANCH_ANGLE_TOL):
+    if not (cone.f1 @ q >= -BRANCH_ANGLE_TOL and cone.f2 @ q >= -BRANCH_ANGLE_TOL):
         raise ValueError("normal direction falls outside the cone's sector")
     ang1 = _angle_between(q, cone.c1)
     ang2 = _angle_between(q, cone.c2)

@@ -11,15 +11,14 @@ bit-reproducible and streams can be laid out in parallel without coordination.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cone import ConeGeometry
 from .solver import Bracket, TruncatedDomain, exit_expectation, green_column
-from .steplaw import LatticePoint, StepLaw
-from .tiltgeom import TiltPoint, tilt_point, wall_decay_exponent
+from .steplaw import LatticePoint, StepLaw, _reachable
+from .tiltgeom import TiltPoint, _unit, tilt_point, wall_decay_exponent
 from .harmonic import HarmonicSpec, build_h, spec_for_direction
 
 #: Paths are declared safe from ever exiting once both wall distances give
@@ -281,30 +280,31 @@ class MartinRow:
     degenerate: bool
 
 
-def martin_ratio_table(domain: TruncatedDomain, q, radii, probes,
-                       z_ref) -> list[MartinRow]:
+def martin_ratio_table(domain: TruncatedDomain, q, radii,
+                       probes) -> list[MartinRow]:
     """Green-kernel ratios along a direction against harmonic-function ratios,
     for the walk with the domain's law, killed outside the domain's cone.
 
     For each radius ``r`` the target is the domain state nearest
     ``r*q``; the table reports ``G(probe, target)/G(z_ref, target)``
     (bracket midpoints) next to ``h(probe)/h(z_ref)`` for the harmonic
-    function of the tilt with normal ``q``.  Purely exploratory output:
-    nothing is asserted, and rows with a vanishing reference Green value
-    are flagged degenerate.  Target radii must be finite and positive.
+    function of the tilt with normal ``q``, where ``z_ref`` is the first
+    probe.  Purely exploratory output: nothing is asserted, and rows with
+    a vanishing reference Green value are flagged degenerate.  Target
+    radii must be finite and positive.
     """
     if not all(0 < r < math.inf for r in radii):
         raise ValueError(
             f"target radii must be finite and positive, got {list(radii)}")
-    q = np.asarray(q, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by build_h
-        q = q / np.linalg.norm(q)
-    for p in list(probes) + [tuple(z_ref)]:
+    if not probes:
+        raise ValueError("at least one probe is needed; the first is the reference")
+    q = _unit(q)
+    for p in probes:
         domain.index_of(p)
 
     h = build_h(spec_for_direction(domain.law, domain.cone, q), domain)
     h_mid = h.mid
-    i_ref = domain.index_of(z_ref)
+    i_ref = domain.index_of(probes[0])
 
     states = domain.states
     rows: list[MartinRow] = []
@@ -361,43 +361,25 @@ def local_irreducibility_scan(law: StepLaw, cone: ConeGeometry, r_max: int,
             z = (x, y)
             if not cone.contains(z):
                 continue
-            for e in units:
-                target = (x + e[0], y + e[1])
-                if not cone.contains(target):
-                    continue
+            targets = [(x + e[0], y + e[1]) for e in units]
+            targets = [t for t in targets if cone.contains(t)]
+            # One search per radius serves all of z's unit moves.
+            least = {}
+            for radius in range(1, r_max + 1):
+                if len(least) == len(targets):
+                    break
+                r2 = radius * radius
+                reached = _reachable(z, moves, lambda p: (
+                    (p[0] - x) ** 2 + (p[1] - y) ** 2 <= r2 and cone.contains(p)))
+                for t in targets:
+                    if t in reached:
+                        least.setdefault(t, radius)
+            for target in targets:
                 n_checked += 1
-                found = None
-                for radius in range(1, r_max + 1):
-                    if _reachable_in_ball(cone, moves, z, target, radius):
-                        found = radius
-                        break
-                if found is None:
+                if target not in least:
                     return ConnectivityScan(max_min_radius=None,
                                             n_checked=n_checked,
                                             witness=(z, target))
-                max_r = max(max_r, found)
+                max_r = max(max_r, least[target])
     return ConnectivityScan(max_min_radius=max_r, n_checked=n_checked,
                             witness=None)
-
-
-def _reachable_in_ball(cone: ConeGeometry, moves, z: LatticePoint,
-                       target: LatticePoint, radius: int) -> bool:
-    r2 = radius * radius
-    seen = {z}
-    queue = deque([z])
-    while queue:
-        cx, cy = queue.popleft()
-        for dx, dy in moves:
-            nxt = (cx + dx, cy + dy)
-            if nxt in seen:
-                continue
-            ddx, ddy = nxt[0] - z[0], nxt[1] - z[1]
-            if ddx * ddx + ddy * ddy > r2:
-                continue
-            if not cone.contains(nxt):
-                continue
-            if nxt == target:
-                return True
-            seen.add(nxt)
-            queue.append(nxt)
-    return False

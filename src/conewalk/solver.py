@@ -41,7 +41,7 @@ import scipy.sparse.linalg as spla
 
 from .cone import ConeGeometry
 from .errors import DomainSizeError, NoIntersectionError, NonConvergenceError
-from .steplaw import LatticePoint, StepLaw
+from .steplaw import LatticePoint, StepLaw, _guarded
 from .tiltgeom import (TiltPoint, boundary_polyline, interior_minimum,
                        largest_level_shift, tilt_point, wall_decay_exponent)
 
@@ -367,7 +367,7 @@ class HarmonicField:
 class FarBounds:
     """Certified substitute values on the far frontier, per exit bucket."""
 
-    thetas: tuple[float, float]
+    thetas: tuple[float, float] | None  # for wall None only
     eps_pairs: tuple[tuple[float, float], ...]
     overshoot_cap: float
     wall: int | None
@@ -375,10 +375,10 @@ class FarBounds:
     @classmethod
     def build(cls, law: StepLaw, cone: ConeGeometry, a: np.ndarray,
               wall: int | None, delta_grid=DEFAULT_DELTA_GRID) -> "FarBounds":
-        th1 = wall_decay_exponent(law, a, cone.f1)
-        th2 = wall_decay_exponent(law, a, cone.f2)
         if wall is None:
-            return cls(thetas=(th1, th2), eps_pairs=(), overshoot_cap=0.0, wall=None)
+            thetas = (wall_decay_exponent(law, a, cone.f1),
+                      wall_decay_exponent(law, a, cone.f2))
+            return cls(thetas=thetas, eps_pairs=(), overshoot_cap=0.0, wall=None)
         f_i = cone.normal(wall)
         f_j = cone.normal(3 - wall)
         pairs = []
@@ -399,7 +399,7 @@ class FarBounds:
                 "no tangential offset in the grid reaches the level set; "
                 "cannot certify the opposite-wall truncation bound")
         cap = float(np.abs(law.steps.astype(float) @ f_i).max())
-        return cls(thetas=(th1, th2), eps_pairs=tuple(pairs),
+        return cls(thetas=None, eps_pairs=tuple(pairs),
                    overshoot_cap=cap, wall=wall)
 
     def _cross_cap(self, e_ay: np.ndarray, fd_i: np.ndarray,
@@ -493,8 +493,12 @@ def exit_expectation(domain: TruncatedDomain, a, wall: int | None = None,
     point = _as_tilt(law, a)
     av = point.a
 
+    # Guarding the payoff's exponents at the exit and far successors guards
+    # the states too: from any state, stepping along an atom s with a.s > 0
+    # raises a.y until it leaves the box or the cone.
+    where = f" in the payoff at radius {domain.radius}"
     src, atom, pts = domain.successors(EXIT)
-    g = np.exp(pts @ av)
+    g = np.exp(_guarded(pts @ av, where))
     if wall is not None:
         g = g * (pts.astype(float) @ cone.normal(wall))
     mask = _exit_mask(cone, pts, through, tie_wall=wall or 1)
@@ -502,10 +506,10 @@ def exit_expectation(domain: TruncatedDomain, a, wall: int | None = None,
                     minlength=domain.n_states)
 
     def far_values(pts):
-        bounds = FarBounds.build(law, cone, av, wall, delta_grid)
         pts = pts.astype(float)
-        return bounds.values(through, np.exp(pts @ av), pts @ cone.f1,
-                             pts @ cone.f2)
+        e_ay = np.exp(_guarded(pts @ av, where))
+        bounds = FarBounds.build(law, cone, av, wall, delta_grid)
+        return bounds.values(through, e_ay, pts @ cone.f1, pts @ cone.f2)
 
     return _bracket_field(domain, f"linear{wall}" if wall else "exp", av, b,
                           far_values)

@@ -30,6 +30,14 @@ EXP_GUARD = 700.0
 PROB_SUM_TOL = 1e-14
 
 
+def _guarded(dots: np.ndarray, where: str = "") -> np.ndarray:
+    """``dots``, or ``RangeOverflowError`` if one would overflow ``exp``."""
+    if dots.size and dots.max() > EXP_GUARD:
+        raise RangeOverflowError(f"exponent {dots.max():.1f} exceeds the "
+                                 f"overflow guard {EXP_GUARD}{where}")
+    return dots
+
+
 def _as_vec(a) -> np.ndarray:
     v = np.asarray(a, dtype=float)
     if v.shape != (2,):
@@ -91,12 +99,7 @@ class StepLaw:
     # -- exponential transforms -------------------------------------------
 
     def _dots(self, a: np.ndarray) -> np.ndarray:
-        dots = self.steps @ a
-        if (dots > EXP_GUARD).any():
-            raise RangeOverflowError(
-                f"exponent {dots.max():.1f} exceeds the overflow guard {EXP_GUARD}"
-            )
-        return dots
+        return _guarded(self.steps @ a)
 
     def drift(self) -> np.ndarray:
         """Mean increment ``sum_z z p(z)``."""
@@ -183,6 +186,21 @@ def _support_generates_z2(steps: np.ndarray) -> bool:
     return g == 1
 
 
+def _reachable(start: LatticePoint, moves, admit) -> set[LatticePoint]:
+    """The points reached from ``start`` by ``moves`` through points that
+    ``admit`` accepts, ``start`` included (breadth-first)."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        x, y = queue.popleft()
+        for dx, dy in moves:
+            nxt = (x + dx, y + dy)
+            if nxt not in seen and admit(nxt):
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
 def _cone_strongly_connected(law: StepLaw, cone: "ConeGeometry",
                              radius: int) -> tuple[bool, LatticePoint | None]:
     states = [
@@ -193,28 +211,14 @@ def _cone_strongly_connected(law: StepLaw, cone: "ConeGeometry",
     ]
     if not states:
         raise ValueError(f"the box of radius {radius} holds no cone lattice point")
-    state_set = set(states)
-    base = states[0]
-    moves = [tuple(int(c) for c in s) for s in law.steps]
-
-    def bfs(start: LatticePoint, reverse: bool) -> set[LatticePoint]:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x, y = queue.popleft()
-            for dx, dy in moves:
-                nxt = (x - dx, y - dy) if reverse else (x + dx, y + dy)
-                if nxt in state_set and nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
-
-    forward = bfs(base, reverse=False)
-    if len(forward) != len(states):
-        return False, next(s for s in states if s not in forward)
-    backward = bfs(base, reverse=True)
-    if len(backward) != len(states):
-        return False, next(s for s in states if s not in backward)
+    moves = [(int(dx), int(dy)) for dx, dy in law.steps]
+    admit = set(states).__contains__
+    # Forward, then backward (along reversed moves), from the first state.
+    for sign in (1, -1):
+        signed = [(sign * dx, sign * dy) for dx, dy in moves]
+        reached = _reachable(states[0], signed, admit)
+        if len(reached) != len(states):
+            return False, next(s for s in states if s not in reached)
     return True, None
 
 

@@ -38,7 +38,7 @@ ANGLE_TOL = 1e-8
 NEWTON_STEPS = 80
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TiltPoint:
     """A tilt vector with cached mgf value, gradient, tilted step weights
     ``p(z) exp(a.z)`` and their sum ``mass`` (``value`` up to the last
@@ -235,6 +235,13 @@ def _crossing(law: StepLaw, base: np.ndarray, d: np.ndarray) -> float:
     return 0.5 * (lo + hi)
 
 
+def _boundary_point(law: StepLaw, u: np.ndarray) -> np.ndarray:
+    """The level-set boundary point in unit direction ``u`` from the
+    interior minimiser (the boundary's polar parametrisation)."""
+    center = interior_minimum(law)
+    return center + _crossing(law, center, u) * u
+
+
 def epsilon_for_delta(law: StepLaw, a, delta: float, f_add, f_sub) -> float:
     """Smallest ``eps > 0`` with ``mgf(a + delta*f_add - eps*f_sub) = 1``.
 
@@ -294,6 +301,18 @@ def wall_decay_exponent(law: StepLaw, a, f) -> float:
 # -- the normal map and its inverse ----------------------------------------
 
 
+def _unit(q) -> np.ndarray:
+    """``q`` scaled to unit length; ``ValueError``, naming ``q`` as given,
+    unless it is finite with a non-zero, finite norm."""
+    q = np.asarray(q, dtype=float)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = float(np.linalg.norm(q))
+    if not (np.isfinite(q).all() and 0.0 < norm < math.inf):
+        raise ValueError(f"normal direction {q.tolist()} must be finite with "
+                         "a non-zero finite norm")
+    return q / norm
+
+
 def point_with_normal(law: StepLaw, q) -> TiltPoint:
     """Boundary point of the level set whose outward normal is ``q``.
 
@@ -303,18 +322,10 @@ def point_with_normal(law: StepLaw, q) -> TiltPoint:
     fallback.  Equivalently this is the maximiser of ``q . a`` over the
     level set.  ``q`` must be finite with a non-zero, finite norm.
     """
-    q = np.asarray(q, dtype=float)
-    with np.errstate(over="ignore"):  # an overflowing norm is refused below
-        norm = float(np.linalg.norm(q))
-    if not (np.isfinite(q).all() and 0.0 < norm < math.inf):
-        raise ValueError(f"normal direction {q.tolist()} must be finite with "
-                         "a non-zero finite norm")
-    q = q / norm
-
+    q = _unit(q)
     # Seed Newton at the boundary crossing in direction q from the interior
     # minimiser; for a convex oval its normal is already close to q.
-    center = interior_minimum(law)
-    a0 = center + _crossing(law, center, q) * q
+    a0 = _boundary_point(law, q)
     x = np.array([a0[0], a0[1], float(np.linalg.norm(law.mgf_grad(a0)))])
 
     def residual(x: np.ndarray) -> np.ndarray | None:
@@ -371,12 +382,10 @@ def point_with_normal(law: StepLaw, q) -> TiltPoint:
 
 def _point_with_normal_bisect(law: StepLaw, q: np.ndarray) -> np.ndarray:
     """Fallback: monotone bisection of the boundary angle parametrisation."""
-    center = interior_minimum(law)
     target = math.atan2(q[1], q[0])
 
     def boundary_at(psi: float) -> np.ndarray:
-        u = np.array([math.cos(psi), math.sin(psi)])
-        return center + _crossing(law, center, u) * u
+        return _boundary_point(law, np.array([math.cos(psi), math.sin(psi)]))
 
     def wrapped_diff(psi: float) -> float:
         g = law.mgf_grad(boundary_at(psi))
@@ -421,12 +430,10 @@ def boundary_polyline(law: StepLaw, n: int) -> np.ndarray:
     """
     if n < 3:
         raise ValueError("need at least 3 samples")
-    center = interior_minimum(law)
     rows = np.empty((n, 4))
     for k in range(n):
         psi = 2.0 * math.pi * k / n
-        u = np.array([math.cos(psi), math.sin(psi)])
-        a = center + _crossing(law, center, u) * u
+        a = _boundary_point(law, np.array([math.cos(psi), math.sin(psi)]))
         q = normal_direction(law, a)
         rows[k] = (a[0], a[1], q[0], q[1])
     return rows

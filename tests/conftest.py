@@ -1,9 +1,12 @@
-"""Shared fixtures: the three bundled models and their parsed configs."""
+"""Shared fixtures: the three bundled models and their parsed configs, and
+the small random models that property tests draw."""
 
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings
+from hypothesis import strategies as st
 
 import conewalk.verify  # noqa: F401  (loads every module of the package)
 from conewalk import StepLaw, build_cone
@@ -55,3 +58,26 @@ def bundled_config(request) -> ModelConfig:
 
 def load_config(name: str) -> ModelConfig:
     return parse_config(CONFIG_DIR / f"{name}.cfg")
+
+
+@st.composite
+def small_models(draw, max_radius=12, zero_step=None):
+    """A law with 3-6 atoms and max jump <= 2, an integer cone with small
+    ray directions, and a radius <= ``max_radius`` the law admits.  A
+    ``zero_step`` of True or False puts a (0, 0) atom in or keeps it out."""
+    step = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    if zero_step is not None:
+        step = step.filter(lambda z: z != (0, 0))
+    steps = draw(st.lists(step, min_size=3 - bool(zero_step),
+                          max_size=6 - bool(zero_step), unique=True))
+    if zero_step:
+        steps.append((0, 0))
+    mass = draw(st.lists(st.integers(1, 9), min_size=len(steps),
+                         max_size=len(steps)))
+    law = StepLaw({z: m / sum(mass) for z, m in zip(steps, mass)})
+    vec = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    d1, d2 = draw(vec), draw(vec)
+    assume(d1[0] * d2[1] - d1[1] * d2[0] != 0)
+    radius = draw(st.integers(2 * law.max_jump, max_radius))
+    tilt = np.array(draw(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))))
+    return law, build_cone(d1, d2), radius, tilt

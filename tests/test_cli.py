@@ -133,6 +133,28 @@ atom 0 -1 0.25
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("invalid input: ")
+        # A refused direction is named as the user gave it.
+        if argv[-1] == "--q=nan,1":
+            assert "normal direction [nan, 1.0] must be finite" in err[0]
+
+    @pytest.mark.parametrize("command", ["harmonic", "martin"])
+    def test_overflowing_payoff_exits_3_naming_the_radius(self, tmp_path,
+                                                          capsys, command):
+        # The tilt a = (-1.31, 6.35) puts a.y past the exp() guard at the
+        # far frontier of R = 120: refused before any exp, nothing written.
+        text = ("radius 120\ncone_dirs 0 1 1 0\natom 1 0 0.9\n"
+                "atom -1 0 0.05\natom 0 1 0.001\natom 0 -1 0.049\n")
+        path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        code = main(["--config", str(path), "--out", str(out), "--quiet",
+                     command, "--q=0.1,1"])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("invalid input: exponent ")
+        assert err[0].endswith(
+            "exceeds the overflow guard 700.0 in the payoff at radius 120")
+        assert not out.exists()
 
     @pytest.mark.parametrize("old,new,field", [
         ("atom 0 -1 0.1", "atom 1 0 0.1", "atom"),

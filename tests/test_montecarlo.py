@@ -550,8 +550,7 @@ class TestMartinTable:
     def test_reference_probe_has_unit_ratio(self, law4, quadrant_cone):
         rows = martin_ratio_table(build_domain(quadrant_cone, law4, 40),
                                   law4.drift(),
-                                  radii=(10, 20), probes=[(2, 2), (3, 5)],
-                                  z_ref=(2, 2))
+                                  radii=(10, 20), probes=[(2, 2), (3, 5)])
         assert len(rows) == 4
         for row in rows:
             assert not row.degenerate
@@ -563,8 +562,7 @@ class TestMartinTable:
         probes = [(2, 2), (6, 3)]
         rows = martin_ratio_table(build_domain(quadrant_cone, law4, 40),
                                   law4.drift(),
-                                  radii=(8, 16, 28), probes=probes,
-                                  z_ref=(2, 2))
+                                  radii=(8, 16, 28), probes=probes)
         picked = [r for r in rows if r.probe == (6, 3)]
         h_ratio = picked[0].h_ratio
         errors = [abs(r.green_ratio - h_ratio) for r in picked]
@@ -576,8 +574,7 @@ class TestMartinTable:
         cfg = load_config("quadrant")
         rows = martin_ratio_table(build_domain(cfg.cone, cfg.law, 40),
                                   cfg.law.drift(),
-                                  radii=(12, 20, 28), probes=[(1, 1), (1, 3)],
-                                  z_ref=(1, 1))
+                                  radii=(12, 20, 28), probes=[(1, 1), (1, 3)])
         picked = [r for r in rows if r.probe == (1, 3)]
         errors = [abs(r.green_ratio - r.h_ratio) for r in picked]
         assert errors[0] > errors[1] > errors[2]
@@ -586,15 +583,20 @@ class TestMartinTable:
         q = np.array([0.995, 0.0999])
         q /= np.linalg.norm(q)
         rows = martin_ratio_table(build_domain(quadrant_cone, law4, 30), q,
-                                  radii=(10,), probes=[(2, 2), (4, 1)],
-                                  z_ref=(2, 2))
+                                  radii=(10,), probes=[(2, 2), (4, 1)])
         assert all(math.isfinite(r.green_ratio) for r in rows)
+
+    def test_first_probe_is_required(self, law4, quadrant_cone):
+        # The first probe is the reference state of every ratio.
+        with pytest.raises(ValueError, match="at least one probe"):
+            martin_ratio_table(build_domain(quadrant_cone, law4, 20),
+                               law4.drift(), radii=(5,), probes=[])
 
     def test_probe_outside_domain_rejected(self, law4, quadrant_cone):
         with pytest.raises(KeyError):
             martin_ratio_table(build_domain(quadrant_cone, law4, 20),
                                law4.drift(), radii=(5,),
-                               probes=[(2, 2), (99, 99)], z_ref=(2, 2))
+                               probes=[(2, 2), (99, 99)])
 
 
 class TestConnectivityScan:

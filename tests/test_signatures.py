@@ -12,7 +12,8 @@ import inspect
 
 import pytest
 
-from conewalk import harmonic, montecarlo, solver, verify
+from conewalk import (build_cone, harmonic, montecarlo, solver, tilt_point,
+                      verify)
 from conewalk.harmonic import (HarmonicSpec, spec_for_direction,
                                spec_for_endpoint)
 from conewalk.solver import TruncatedDomain
@@ -72,3 +73,16 @@ def test_spec_reads_its_law_from_its_tilt(law5, quadrant_cone):
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.law = law5
     assert "law" not in {f.name for f in dataclasses.fields(HarmonicSpec)}
+
+
+def test_records_compare_and_hash_by_identity(law5, quadrant_cone):
+    # Their array fields make a field-wise == ambiguous, so each record
+    # is equal only to itself, and hashes.
+    spec = spec_for_endpoint(law5, quadrant_cone, 1)
+    twins = [(spec.tilt, tilt_point(law5, spec.tilt.a)),
+             (spec, dataclasses.replace(spec)),
+             (quadrant_cone, build_cone((0, 1), (1, 0)))]
+    for record, twin in twins:
+        assert record == record and not record != record
+        assert record != twin and not record == twin
+        assert len({record, twin, record}) == 2

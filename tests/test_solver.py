@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import MODEL_NAMES, load_config
+from conftest import MODEL_NAMES, load_config, small_models
 from conewalk import (Bracket, DomainSizeError, StepLaw, build_cone,
                       build_cone_from_angles, build_domain, build_h, exit_expectation, green_column,
                       harmonicity_residual, point_with_normal, solver,
@@ -177,29 +177,6 @@ class TestDomain:
                 assert every.all()
 
 
-@st.composite
-def small_models(draw, max_radius=12, zero_step=None):
-    """A law with 3-6 atoms and max jump <= 2, an integer cone with small
-    ray directions, and a radius <= ``max_radius`` the law admits.  A
-    ``zero_step`` of True or False puts a (0, 0) atom in or keeps it out."""
-    step = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
-    if zero_step is not None:
-        step = step.filter(lambda z: z != (0, 0))
-    steps = draw(st.lists(step, min_size=3 - bool(zero_step),
-                          max_size=6 - bool(zero_step), unique=True))
-    if zero_step:
-        steps.append((0, 0))
-    mass = draw(st.lists(st.integers(1, 9), min_size=len(steps),
-                         max_size=len(steps)))
-    law = StepLaw({z: m / sum(mass) for z, m in zip(steps, mass)})
-    vec = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-    d1, d2 = draw(vec), draw(vec)
-    assume(d1[0] * d2[1] - d1[1] * d2[0] != 0)
-    radius = draw(st.integers(2 * law.max_jump, max_radius))
-    tilt = np.array(draw(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))))
-    return law, build_cone(d1, d2), radius, tilt
-
-
 def _small_domain(law, cone, radius):
     try:
         return build_domain(cone, law, radius)
@@ -339,6 +316,19 @@ class TestExitExpectation:
         b = u.bracket((20, 20))
         assert b.hi < 1.0
         assert b.lo > 0.0
+
+    @pytest.mark.parametrize("wall,solves", [(None, 2), (1, 0), (2, 0)])
+    def test_wall_exponents_solved_only_for_the_plain_payoff(
+            self, law5, quadrant_cone, monkeypatch, wall, solves):
+        # A wall payoff's far values never read the wall decay exponents.
+        calls = []
+        real = solver.wall_decay_exponent
+        monkeypatch.setattr(solver, "wall_decay_exponent",
+                            lambda *args: calls.append(args) or real(*args))
+        a = spec_for_endpoint(law5, quadrant_cone, wall or 1).tilt.a
+        bounds = solver.FarBounds.build(law5, quadrant_cone, a, wall)
+        assert len(calls) == solves
+        assert (bounds.thetas is None) == (wall is not None)
 
     def test_bracket_nesting_across_radii(self, law4, law5, quadrant_cone):
         for law in (law4, law5):

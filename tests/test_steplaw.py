@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import breadth_first_order
 
-from conewalk import (RangeOverflowError, StepLaw, point_with_normal,
-                      tilt_point, validate_model)
+from conftest import small_models
+from conewalk import (RangeOverflowError, StepLaw, local_irreducibility_scan,
+                      point_with_normal, tilt_point, validate_model)
 
 LN2 = math.log(2.0)
 
@@ -180,3 +185,77 @@ class TestValidation:
         report = validate_model(law, quadrant_cone, box_radius=10)
         wall1 = report.wall_checks[0]
         assert wall1.checked and not wall1.ok
+
+
+def _graph(points, steps) -> sp.csr_matrix:
+    """Edges ``i -> j`` wherever ``points[j] = points[i] + step``."""
+    index = {p: i for i, p in enumerate(points)}
+    edges = [(i, index[(x + int(dx), y + int(dy))])
+             for i, (x, y) in enumerate(points) for dx, dy in steps
+             if (x + int(dx), y + int(dy)) in index]
+    rows, cols = zip(*edges) if edges else ((), ())
+    n = len(points)
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+
+
+def _reached(graph, start: int) -> set:
+    return set(breadth_first_order(graph, start, directed=True,
+                                   return_predecessors=False).tolist())
+
+
+def _reference_scan(law, cone, r_max, region):
+    """``(max_min_radius, n_checked, witness)``, one ball graph per move
+    and radius."""
+    max_r, n_checked = 0, 0
+    box = range(-region, region + 1)
+    for z in [(x, y) for x in box for y in box if cone.contains((x, y))]:
+        for e in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            target = (z[0] + e[0], z[1] + e[1])
+            if not cone.contains(target):
+                continue
+            n_checked += 1
+            least = None
+            for r in range(1, r_max + 1):
+                disc = range(-r, r + 1)
+                ball = [z] + [(z[0] + u, z[1] + v) for u in disc for v in disc
+                              if 0 < u * u + v * v <= r * r
+                              and cone.contains((z[0] + u, z[1] + v))]
+                if ball.index(target) in _reached(_graph(ball, law.steps), 0):
+                    least = r
+                    break
+            if least is None:
+                return None, n_checked, (z, target)
+            max_r = max(max_r, least)
+    return max_r, n_checked, None
+
+
+class TestReachability:
+    """Both irreducibility checks share one search; scipy's breadth-first
+    order on the same graphs is the reference."""
+
+    @settings(max_examples=40)
+    @given(small_models(max_radius=7))
+    def test_cone_verdict_and_witness(self, model):
+        law, cone, radius, _ = model
+        box = range(-radius, radius + 1)
+        states = [(x, y) for x in box for y in box if cone.contains((x, y))]
+        assume(states)
+        graph = _graph(states, law.steps)
+        expected = (True, None)
+        for g in (graph, graph.T.tocsr()):  # forward, then backward
+            reached = _reached(g, 0)
+            if len(reached) < len(states):
+                expected = (False, next(s for i, s in enumerate(states)
+                                        if i not in reached))
+                break
+        report = validate_model(law, cone, box_radius=radius)
+        assert (report.cone_irreducible, report.cone_witness) == expected
+
+    @settings(max_examples=25)
+    @given(small_models(max_radius=4), st.integers(1, 3))
+    def test_local_scan(self, model, r_max):
+        law, cone, region, _ = model
+        scan = local_irreducibility_scan(law, cone, r_max=r_max,
+                                         region_radius=region)
+        assert ((scan.max_min_radius, scan.n_checked, scan.witness)
+                == _reference_scan(law, cone, r_max, region))
