@@ -30,8 +30,8 @@ from .cone import (ConeGeometry, _angle_between, build_cone,
 from .errors import DomainSizeError, NonConvergenceError, RangeOverflowError
 from .harmonic import build_h, check_positive, spec_for_direction, spec_for_endpoint
 from .montecarlo import martin_ratio_table
-from .solver import build_domain, harmonicity_residual
-from .steplaw import StepLaw, validate_model
+from .solver import _CHUNK, build_domain, harmonicity_residual
+from .steplaw import StepLaw, _failed_hypothesis, validate_model
 from .tiltgeom import (ANGLE_TOL, CLASSIFY_TOL, LEVEL_TOL, boundary_polyline,
                        normal_direction)
 
@@ -155,15 +155,20 @@ def _write_csv(path: Path, cfg: ModelConfig, comments: list[str],
                           for v in row] for row in rows)
 
 
-def _harmonic_rows(h):
-    """The ``x,y,lo,hi,kind,a1,a2`` lines of a field, one ``%`` format per
-    block of states.  ``kind,a1,a2`` is the same on every row, so it is
-    formatted once and only the block's numbers go through the format."""
-    tail = "%s,%.17g,%.17g\n" % (h.kind, float(h.a[0]), float(h.a[1]))
+def _harmonic_rows(h, spec):
+    """The ``x,y,lo,hi,kind,a1,a2`` lines of the spec's field ``h``, one ``%``
+    format per block of ``_CHUNK`` states.  ``kind,a1,a2`` (the branch and
+    the tilt) is the same on every row, so it is formatted once and only the
+    block's numbers, as lists, go through the format."""
+    tail = "harmonic_%s,%.17g,%.17g\n" % (
+        "interior" if spec.wall is None else f"wall{spec.wall}", *spec.tilt.a)
     row = "%d,%d,%.17g,%.17g," + tail.replace("%", "%%")
-    for xs, ys, lo, hi in h.blocks():
+    for start in range(0, h.domain.n_states, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        xs, ys = h.domain.states[part].T.tolist()
         flat = [None] * (4 * len(xs))
-        flat[0::4], flat[1::4], flat[2::4], flat[3::4] = xs, ys, lo, hi
+        flat[0::4], flat[1::4] = xs, ys
+        flat[2::4], flat[3::4] = h.lo[part].tolist(), h.hi[part].tolist()
         yield (row * len(xs)) % tuple(flat)
 
 
@@ -229,7 +234,7 @@ def cmd_harmonic(cfg: ModelConfig, args) -> int:
                 f"radius {radius}"]
     with _open_csv(out, cfg, comments,
                    ["x", "y", "lo", "hi", "kind", "a1", "a2"]) as fh:
-        fh.writelines(_harmonic_rows(h))
+        fh.writelines(_harmonic_rows(h, spec))
     diagnostics = {
         "branch": spec.branch,
         "warning": spec.warning,
@@ -381,6 +386,8 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
+        if args.command != "validate" and (failed := _failed_hypothesis(cfg.law)):
+            raise ValueError(failed)  # validate reports on any model
         return handlers[args.command](cfg, args)
     except NonConvergenceError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)

@@ -44,7 +44,7 @@ class HarmonicSpec:
 
     cone: ConeGeometry
     tilt: TiltPoint
-    branch: str  # "endpoint_wall1" | "endpoint_wall2" | "interior"
+    wall: int | None  # the endpoint branch's wall; None for the interior
     warning: str | None = None
 
     @property
@@ -52,12 +52,8 @@ class HarmonicSpec:
         return self.tilt.law
 
     @property
-    def wall(self) -> int | None:
-        if self.branch == "endpoint_wall1":
-            return 1
-        if self.branch == "endpoint_wall2":
-            return 2
-        return None
+    def branch(self) -> str:
+        return "interior" if self.wall is None else f"endpoint_wall{self.wall}"
 
 
 def classify_spec(law: StepLaw, cone: ConeGeometry, a) -> HarmonicSpec:
@@ -80,16 +76,16 @@ def classify_spec(law: StepLaw, cone: ConeGeometry, a) -> HarmonicSpec:
     ang2 = _angle_between(q, cone.c2)
     warning = None
     if ang1 <= BRANCH_ANGLE_TOL:
-        branch = "endpoint_wall1"
+        wall = 1
     elif ang2 <= BRANCH_ANGLE_TOL:
-        branch = "endpoint_wall2"
+        wall = 2
     else:
-        branch = "interior"
+        wall = None
         near = min(ang1, ang2)
         if near <= BRANCH_WARN_FACTOR * BRANCH_ANGLE_TOL:
             warning = (f"normal is within {near:.2e} rad of a boundary ray; "
                        "branch selection is borderline")
-    return HarmonicSpec(cone=cone, tilt=point, branch=branch, warning=warning)
+    return HarmonicSpec(cone=cone, tilt=point, wall=wall, warning=warning)
 
 
 def spec_for_direction(law: StepLaw, cone: ConeGeometry, q) -> HarmonicSpec:
@@ -125,35 +121,31 @@ def build_h(spec: HarmonicSpec, domain: TruncatedDomain) -> HarmonicField:
     the function is 0 by convention; the field only stores interior states.
     """
     _check_model(spec, domain)
-    av = spec.tilt.a
     u = exit_expectation(domain, spec.tilt, wall=spec.wall)
     # The lead term is formed after the solve, off the solve's peak memory.
     z = domain.states.astype(float)
-    e_az = np.exp(z @ av)
-    if spec.wall is None:
-        lead, kind = e_az, "harmonic_interior"
-    else:
-        lead = (z @ spec.cone.normal(spec.wall)) * e_az
-        kind = f"harmonic_wall{spec.wall}"
+    lead = np.exp(z @ spec.tilt.a)
+    if spec.wall is not None:
+        lead = (z @ spec.cone.normal(spec.wall)) * lead
     lo = lead - u.hi
     hi = lead - u.lo
-    return HarmonicField(domain=domain, kind=kind, a=av.copy(),
-                         lo=np.minimum(lo, hi), hi=np.maximum(lo, hi))
+    return HarmonicField(domain, np.minimum(lo, hi), np.maximum(lo, hi))
 
 
 @dataclass
 class PositivityReport:
-    """Three-way positivity classification of a harmonic field; at most
-    the first 20 certified-negative states are listed."""
+    """Positivity classification of a harmonic field; at most the first 20
+    certified-negative states are listed."""
 
     n_certified_positive: int
     n_inconclusive: int
     n_certified_negative: int
+    n_nan: int
     negative_states: list[tuple[int, int]]
 
     @property
     def clean(self) -> bool:
-        return self.n_certified_negative == 0
+        return self.n_certified_negative == 0 and self.n_nan == 0
 
 
 def check_positive(h: HarmonicField) -> PositivityReport:
@@ -162,32 +154,34 @@ def check_positive(h: HarmonicField) -> PositivityReport:
     A state is certified positive when its lower bracket is strictly
     positive and certified negative when its upper bracket is strictly
     negative.  Brackets straddling zero are inconclusive; they indicate
-    truncation error, not a violation, and shrink as the radius grows.
+    truncation error, not a violation, and shrink as the radius grows.  A
+    NaN end makes a state none of these, and the field not clean.
     """
-    pos = h.lo > 0.0
-    neg = h.hi < 0.0
+    nan = np.isnan(h.lo) | np.isnan(h.hi)
+    pos = (h.lo > 0.0) & ~nan
+    neg = (h.hi < 0.0) & ~nan
     return PositivityReport(
         n_certified_positive=int(pos.sum()),
-        n_inconclusive=int((~pos & ~neg).sum()),
+        n_inconclusive=int((~pos & ~neg & ~nan).sum()),
         n_certified_negative=int(neg.sum()),
+        n_nan=int(nan.sum()),
         negative_states=[(int(x), int(y))
                          for x, y in h.domain.states[neg][:20]],
     )
 
 
-def free_harmonic_value(law: StepLaw, q, q_perp, z) -> tuple[float, float]:
+def free_harmonic_value(law: StepLaw, q, z) -> tuple[float, float]:
     """Value and one-step residual of ``(q_perp.z) exp(a(q).z)``.
 
     With ``a(q)`` the boundary tilt whose normal is ``q``, this function
     is exactly harmonic for the unkilled walk: the gradient of the mgf at
-    ``a(q)`` is parallel to ``q``, so its ``q_perp`` component vanishes.
+    ``a(q)`` is parallel to ``q``, so its ``q_perp = (-q_2, q_1)``
+    component vanishes.
     Returns ``(value, residual)`` where the residual is the exact finite
     sum ``E_z[f(S(1))] - f(z)``; it should vanish to rounding.
     """
     q = np.asarray(q, dtype=float)
-    qp = np.asarray(q_perp, dtype=float)
-    if abs(float(q @ qp)) > 1e-14:
-        raise ValueError("q_perp must be perpendicular to q")
+    qp = np.array([-q[1], q[0]])
     point = point_with_normal(law, q)
     zv = np.asarray(z, dtype=float)
     value = float(qp @ zv) * math.exp(float(point.a @ zv))

@@ -334,8 +334,6 @@ class HarmonicField:
     truncated domain."""
 
     domain: TruncatedDomain
-    kind: str
-    a: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
@@ -350,14 +348,6 @@ class HarmonicField:
     def bracket(self, z) -> Bracket:
         i = self.domain.index_of(z)
         return Bracket(float(self.lo[i]), float(self.hi[i]))
-
-    def blocks(self):
-        """Columns ``(x, y, lo, hi)`` as lists, ``_CHUNK`` states at a
-        time, in state order."""
-        for start in range(0, self.domain.n_states, _CHUNK):
-            part = slice(start, start + _CHUNK)
-            xs, ys = self.domain.states[part].T.tolist()
-            yield xs, ys, self.lo[part].tolist(), self.hi[part].tolist()
 
 
 # -- far-frontier substitute values ----------------------------------------
@@ -381,22 +371,28 @@ class FarBounds:
             return cls(thetas=thetas, eps_pairs=(), overshoot_cap=0.0, wall=None)
         f_i = cone.normal(wall)
         f_j = cone.normal(3 - wall)
-        pairs = []
-        for d in sorted(set(float(x) for x in delta_grid), reverse=True):
-            if d <= 0.0:
-                continue
+
+        def pairs_at(d):
             # The far root gives the strongest certified decay: any shift
             # with mgf(a + d*f_i - g*f_j) <= 1 yields a valid bound, and
             # the exponent improves with g.
             try:
                 g = largest_level_shift(law, a + d * f_i, f_j)
             except NoIntersectionError:
-                continue
-            if g > 0.0:
-                pairs.append((d, g))
+                return []
+            return [(d, g)] if g > 0.0 else []
+
+        grid = sorted({float(d) for d in delta_grid if d > 0.0}, reverse=True)
+        pairs = [p for d in grid for p in pairs_at(d)]
+        # Any d > 0 certifies: a level set too thin across the wall for the
+        # whole grid is tried at halved offsets while they still move a.
+        d = min(grid, default=0.0)
+        while not pairs and (a + d / 2 * f_i != a).any():
+            d /= 2
+            pairs = pairs_at(d)
         if not pairs:
             raise NonConvergenceError(
-                "no tangential offset in the grid reaches the level set; "
+                "no tangential offset reaches the level set; "
                 "cannot certify the opposite-wall truncation bound")
         cap = float(np.abs(law.steps.astype(float) @ f_i).max())
         return cls(thetas=None, eps_pairs=tuple(pairs),
@@ -454,13 +450,12 @@ def _as_tilt(law: StepLaw, a) -> TiltPoint:
     return point
 
 
-def _bracket_field(domain: TruncatedDomain, kind: str, av: np.ndarray,
-                   b: np.ndarray, far_values,
+def _bracket_field(domain: TruncatedDomain, b: np.ndarray, far_values,
                    tilt: TiltPoint | None = None) -> HarmonicField:
     """Both brackets of ``(I - P_a) x = b + far`` from one two-column solve,
-    ``a`` the tilt point ``tilt`` (None: untilted): ``far_values(points)``
-    gives the lower and upper substitute values at the far-frontier
-    successors, which enter with the kernel's per-atom weights."""
+    ``a`` the tilt point ``tilt`` (None: untilted).  ``far_values(points)``
+    is the lower and upper comparison function at any points; ``far`` is
+    their values at the far-frontier successors, with the kernel's weights."""
     w = domain.law.probs if tilt is None else tilt.weights
     B = np.column_stack([b, b])
     src, atom, pts = domain.successors(FAR)
@@ -469,8 +464,7 @@ def _bracket_field(domain: TruncatedDomain, kind: str, av: np.ndarray,
             col += np.bincount(src, weights=w[atom] * vals,
                                minlength=domain.n_states)
     lo, hi = domain.solve(B, tilt).T
-    return HarmonicField(domain=domain, kind=kind, a=av.copy(),
-                         lo=np.minimum(lo, hi), hi=np.maximum(lo, hi))
+    return HarmonicField(domain, np.minimum(lo, hi), np.maximum(lo, hi))
 
 
 def exit_expectation(domain: TruncatedDomain, a, wall: int | None = None,
@@ -490,8 +484,7 @@ def exit_expectation(domain: TruncatedDomain, a, wall: int | None = None,
         if value not in (None, 1, 2):
             raise ValueError(f"{name} must be None, 1 or 2, not {value!r}")
     law, cone = domain.law, domain.cone
-    point = _as_tilt(law, a)
-    av = point.a
+    av = _as_tilt(law, a).a
 
     # Guarding the payoff's exponents at the exit and far successors guards
     # the states too: from any state, stepping along an atom s with a.s > 0
@@ -511,8 +504,7 @@ def exit_expectation(domain: TruncatedDomain, a, wall: int | None = None,
         bounds = FarBounds.build(law, cone, av, wall, delta_grid)
         return bounds.values(through, e_ay, pts @ cone.f1, pts @ cone.f2)
 
-    return _bracket_field(domain, f"linear{wall}" if wall else "exp", av, b,
-                          far_values)
+    return _bracket_field(domain, b, far_values)
 
 
 def survival_probability(domain: TruncatedDomain, a) -> HarmonicField:
@@ -527,17 +519,16 @@ def survival_probability(domain: TruncatedDomain, a) -> HarmonicField:
     """
     law, cone = domain.law, domain.cone
     point = _as_tilt(law, a)
-    av = point.a
 
     def far_values(pts):
-        th1 = wall_decay_exponent(law, av, cone.f1)
-        th2 = wall_decay_exponent(law, av, cone.f2)
+        th1 = wall_decay_exponent(law, point.a, cone.f1)
+        th2 = wall_decay_exponent(law, point.a, cone.f2)
         pts = pts.astype(float)
         lo = np.maximum(0.0, 1.0 - np.exp(-th1 * (pts @ cone.f1))
                         - np.exp(-th2 * (pts @ cone.f2)))
         return lo, np.ones(len(pts))
 
-    field = _bracket_field(domain, "survival", av,
+    field = _bracket_field(domain,
                            np.full(domain.n_states, max(0.0, 1.0 - point.value)),
                            far_values, tilt=point)
     for v in (field.lo, field.hi):  # clipping is monotone: still ordered
@@ -583,7 +574,7 @@ def green_column(domain: TruncatedDomain, target) -> HarmonicField:
     t = domain.index_of(target)
     b = np.zeros(domain.n_states)
     b[t] = 1.0
-    return _bracket_field(domain, "green", np.zeros(2), b, lambda pts: (
+    return _bracket_field(domain, b, lambda pts: (
         np.zeros(len(pts)), _free_green_bound(law, pts - domain.states[t])))
 
 
@@ -598,10 +589,6 @@ class ResidualReport:
     max_residual: float
     relative_excess: float
     worst_state: LatticePoint | None
-
-    def within(self, rel_tol: float) -> bool:
-        """True iff residuals stay inside ``rel_tol`` plus the bracket slack."""
-        return self.relative_excess <= rel_tol
 
 
 def harmonicity_residual(h: HarmonicField) -> ResidualReport:

@@ -186,6 +186,22 @@ def _support_generates_z2(steps: np.ndarray) -> bool:
     return g == 1
 
 
+def _failed_hypothesis(law: StepLaw) -> str | None:
+    """The paper's hypothesis that ``law`` fails, named, or None.  Only a
+    non-zero drift and a support in no closed half-plane make ``{mgf <= 1}``
+    a compact oval with 0 on its boundary.  The support lies in one iff some
+    step ``s`` has ``cross(s, t)`` of one sign for all steps ``t`` (exact)."""
+    if not np.linalg.norm(law.drift()) > 1e-14:
+        return "the step law has zero drift"
+    steps = [(x, y) for x, y in law.steps.tolist() if (x, y) != (0, 0)]
+    for sx, sy in steps:
+        cross = [sx * ty - sy * tx for tx, ty in steps]
+        if min(cross) >= 0 or max(cross) <= 0:
+            return (f"the support lies in a closed half-plane bounded by the "
+                    f"line through step {(sx, sy)}, so {{mgf <= 1}} is not compact")
+    return None
+
+
 def _reachable(start: LatticePoint, moves, admit) -> set[LatticePoint]:
     """The points reached from ``start`` by ``moves`` through points that
     ``admit`` accepts, ``start`` included (breadth-first)."""

@@ -25,8 +25,8 @@ from .harmonic import (HarmonicSpec, build_h, check_positive,
 from .montecarlo import (RngSpec, absorption_crosscheck,
                          local_irreducibility_scan, overshoot_moment)
 from .quadrant_reference import reference_harmonic
-from .solver import (DEFAULT_DELTA_GRID, TruncatedDomain, build_domain,
-                     exit_expectation, harmonicity_residual,
+from .solver import (DEFAULT_DELTA_GRID, HarmonicField, TruncatedDomain,
+                     build_domain, exit_expectation, harmonicity_residual,
                      survival_probability)
 from .steplaw import StepLaw
 from .tiltgeom import TiltPoint, normal_direction, point_with_normal, tilt_point
@@ -57,6 +57,11 @@ class CriterionResult:
     seconds: float
     #: Simulation estimate rows for CSV export (criterion 3 only).
     mc_rows: list = field(default_factory=list)
+
+
+def _worst(*values) -> float:
+    """The largest of ``values``, NaN if one is (``max`` would drop it)."""
+    return float(np.max(values))
 
 
 def _mid_direction(cone: ConeGeometry) -> np.ndarray:
@@ -108,8 +113,8 @@ def check_normal_map_roundtrip(law: StepLaw):
         p = point_with_normal(law, q)
         qq = normal_direction(law, p)
         ang = _angle_between(qq, q)
-        worst_level = max(worst_level, abs(p.value - 1.0))
-        worst_angle = max(worst_angle, ang)
+        worst_level = _worst(worst_level, abs(p.value - 1.0))
+        worst_angle = _worst(worst_angle, ang)
     ok = worst_level <= 1e-10 and worst_angle <= 1e-8
     return ok, (f"max level residual {worst_level:.2e}, "
                 f"max angle {worst_angle:.2e}")
@@ -121,10 +126,9 @@ def check_free_harmonic(law: StepLaw, seed: int):
     for _ in range(100):
         t = rng.uniform(0.0, 2.0 * math.pi)
         q = np.array([math.cos(t), math.sin(t)])
-        qp = np.array([-q[1], q[0]])
         z = rng.integers(-4, 5, size=2)
-        value, residual = free_harmonic_value(law, q, qp, z)
-        worst = max(worst, abs(residual) - (1e-10 * abs(value) + 1e-12))
+        value, residual = free_harmonic_value(law, q, z)
+        worst = _worst(worst, abs(residual) - (1e-10 * abs(value) + 1e-12))
     return worst <= 0.0, f"max tolerance excess {worst:.2e}"
 
 
@@ -144,7 +148,7 @@ def check_absorption_identity(domain: TruncatedDomain, tilts, seed: int,
         lo_u = u.lo * scale
         hi_u = u.hi * scale
         gap = np.maximum(lo_u - (1.0 - s.lo), (1.0 - s.hi) - hi_u).max()
-        worst_gap = max(worst_gap, float(gap))
+        worst_gap = _worst(worst_gap, gap)
         if name in mc_targets:
             chk = absorption_crosscheck(domain, point, probe, horizon,
                                         mc_samples, RngSpec(seed, stream))
@@ -165,7 +169,7 @@ def check_harmonicity(domain: TruncatedDomain, specs):
     ok = True
     for spec in specs:
         rep = harmonicity_residual(build_h(spec, domain))
-        ok = ok and rep.within(1e-8)
+        ok = ok and rep.relative_excess <= 1e-8
         details.append(f"{spec.branch}: excess {rep.relative_excess:.2e}")
     return ok, "; ".join(details)
 
@@ -176,16 +180,14 @@ def check_positivity_refinement(d_small: TruncatedDomain,
     details = []
     ok = True
     for spec in specs:
-        h_small = build_h(spec, d_small)
         h_large = build_h(spec, d_large)
-        neg = (check_positive(h_small).n_certified_negative
-               + check_positive(h_large).n_certified_negative)
-        inc_small = int(np.sum((h_small.lo <= 0.0) & (h_small.hi >= 0.0)))
-        lo_c = h_large.lo[idx_large]
-        hi_c = h_large.hi[idx_large]
-        inc_large = int(np.sum((lo_c <= 0.0) & (hi_c >= 0.0)))
+        small, large, large_on_small = (check_positive(h) for h in (
+            build_h(spec, d_small), h_large,
+            HarmonicField(d_small, h_large.lo[idx_large], h_large.hi[idx_large])))
+        neg = small.n_certified_negative + large.n_certified_negative
+        inc_small, inc_large = small.n_inconclusive, large_on_small.n_inconclusive
         shrinks = inc_large < inc_small or (inc_small == 0 and inc_large == 0)
-        ok = ok and neg == 0 and shrinks
+        ok = ok and small.clean and large.clean and shrinks
         details.append(f"{spec.branch}: negatives {neg}, "
                        f"inconclusive {inc_small}->{inc_large}")
     return ok, "; ".join(details)
@@ -207,9 +209,9 @@ def check_quadrant_reference(specs):
         h = build_h(spec, domain)
         ref = reference_harmonic(atoms, tuple(spec.tilt.a), spec.wall, 24,
                                  DEFAULT_DELTA_GRID)
-        for z, (lo, hi) in ref.items():
-            b = h.bracket(z)
-            worst = max(worst, abs(b.lo - lo), abs(b.hi - hi))
+        idx = [domain.index_of(z) for z in ref]
+        dev = np.column_stack([h.lo[idx], h.hi[idx]]) - list(ref.values())
+        worst = _worst(worst, np.abs(dev).max())
     return worst <= 1e-10, f"max deviation {worst:.2e}"
 
 
@@ -223,7 +225,7 @@ def check_endpoint_survival_decay(d100: TruncatedDomain, endpoint_specs):
         for r in (50, 100, 200):
             domain = d100 if r == d100.radius else build_domain(cone, law, r)
             s = survival_probability(domain, spec.tilt)
-            uppers.append(s.bracket(probe).hi)
+            uppers.append(s.hi[domain.index_of(probe)])
         decreasing = all(a > b for a, b in zip(uppers, uppers[1:]))
         small = uppers[-1] <= 0.1
         ok = ok and decreasing and small
@@ -250,7 +252,7 @@ def check_cross_exit_bound(endpoint_specs, seed: int):
                 except DeltaTooLargeError:
                     delta *= 0.5
             excess = res.term.hi - res.bound
-            worst = max(worst, excess)
+            worst = _worst(worst, excess)
             ok = ok and excess <= 1e-10
     return ok, f"max excess over bound {worst:.2e}"
 
@@ -269,25 +271,25 @@ def check_bracket_invariants(d_small: TruncatedDomain,
         u_l = exit_expectation(d_large, point)
         # Nesting is checked on the exp(-a.z)-scaled values, which live
         # in [0, 1]; unscaled values span hundreds of orders of magnitude.
-        nest_worst = max(
+        nest_worst = _worst(
             nest_worst,
             float((u_s.lo * scale_s - (u_l.lo * scale_l)[idx_large]).max()),
             float(((u_l.hi * scale_l)[idx_large] - u_s.hi * scale_s).max()))
         s = survival_probability(d_small, point)
-        comp_worst = max(comp_worst,
-                         float(np.abs(s.lo + u_s.hi * scale_s - 1.0).max()),
-                         float(np.abs(s.hi + u_s.lo * scale_s - 1.0).max()))
+        comp_worst = _worst(comp_worst,
+                            float(np.abs(s.lo + u_s.hi * scale_s - 1.0).max()),
+                            float(np.abs(s.hi + u_s.lo * scale_s - 1.0).max()))
         u1 = exit_expectation(d_small, point, through=1)
         u2 = exit_expectation(d_small, point, through=2)
         # The exit buckets partition: lower substitutes add exactly, and
         # the summed bucket brackets must contain the all-exits bracket.
-        add_worst = max(
+        add_worst = _worst(
             add_worst,
             float(np.abs((u1.lo + u2.lo - u_s.lo) * scale_s).max()),
             float(((u_s.hi - u1.hi - u2.hi) * scale_s).max()),
             float(((u1.lo + u2.lo - u_s.hi) * scale_s).max()))
-        single_wall_worst = max(single_wall_worst,
-                           float((u2.hi * scale_s - 1.0).max()))
+        single_wall_worst = _worst(single_wall_worst,
+                                   float((u2.hi * scale_s - 1.0).max()))
     ok = (nest_worst <= 1e-12 and comp_worst <= 1e-10
           and add_worst <= 1e-12 and single_wall_worst <= 1e-12)
     return ok, (f"nesting {nest_worst:.2e}, complement {comp_worst:.2e}, "

@@ -137,6 +137,29 @@ atom 0 -1 0.25
         if argv[-1] == "--q=nan,1":
             assert "normal direction [nan, 1.0] must be finite" in err[0]
 
+    @pytest.mark.parametrize("command", [
+        ["harmonic", "--q=1,1"], ["martin", "--q=1,1"], ["boundary"],
+        ["verify"]], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("atoms,hypothesis", [
+        ("atom 1 0 0.25\natom -1 0 0.25\natom 0 1 0.25\natom 0 -1 0.25\n",
+         "the step law has zero drift"),
+        ("atom 1 0 0.4\natom -1 0 0.1\natom 0 1 0.5\n",
+         "the support lies in a closed half-plane bounded by the line "
+         "through step (-1, 0)"),
+    ], ids=["zero-drift", "half-plane"])
+    def test_model_outside_the_hypotheses_exits_3_with_one_line(
+            self, tmp_path, capsys, command, atoms, hypothesis):
+        # validate reports on such a model and exits 1 (tested above); the
+        # other commands refuse it before any computation.
+        path = write_config(tmp_path, "radius 20\ncone_dirs 0 1 1 0\n" + atoms)
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out), *command]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"invalid input: {hypothesis}")
+        assert not out.exists()
+        assert main(["--config", str(path), "--quiet", "validate"]) == 1
+
     @pytest.mark.parametrize("command", ["harmonic", "martin"])
     def test_overflowing_payoff_exits_3_naming_the_radius(self, tmp_path,
                                                           capsys, command):

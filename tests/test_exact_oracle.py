@@ -24,12 +24,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import load_config
-from conewalk import (NonConvergenceError, StepLaw, build_domain, build_h,
-                      quadrant, solver, spec_for_direction, spec_for_endpoint)
+from conewalk import (StepLaw, build_domain, build_h, quadrant, solver,
+                      spec_for_direction, spec_for_endpoint)
 
 #: Relative slack for rounding, until the brackets carry it themselves.
 MARGIN = 1e-12
@@ -125,11 +125,14 @@ def test_axis_laws_contain_exact(mass, hold, radius, branch, fraction):
     assume(mass[0] != mass[1] or mass[2] != mass[3])  # non-zero drift
     law = StepLaw({z: m / sum(atoms.values()) for z, m in atoms.items()})
     case = branch if branch != "interior" else f"q{fraction!r}"
-    try:
-        outside = states_outside(make_spec(law, case), radius)
-    except NonConvergenceError as exc:
-        # No offset of the fixed grid fits inside a level set this thin
-        # across the wall: a refusal, not a wrong bracket.
-        assert "no tangential offset in the grid" in str(exc)
-        reject()
-    assert outside == 0
+    assert states_outside(make_spec(law, case), radius) == 0
+
+
+@pytest.mark.parametrize("case", ["endpoint1", "endpoint2"])
+def test_thin_level_set_certifies(case):
+    # E/W/N/S masses 10/10/10/11 over 41: across either wall the level set
+    # is thinner than the smallest offset of the default grid (0.05), which
+    # once made both endpoint brackets refuse with exit 2.
+    atoms = {(1, 0): 10, (-1, 0): 10, (0, 1): 10, (0, -1): 11}
+    law = StepLaw({z: m / 41 for z, m in atoms.items()})
+    assert states_outside(make_spec(law, case), 40) == 0

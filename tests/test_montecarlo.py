@@ -540,7 +540,7 @@ class TestOvershoot:
         # A spec labelled wall 1 whose tilt is the bisector's: the
         # projected walk has a drift, which the mean-zero check catches.
         bisector = spec_for_direction(law5, quadrant_cone, (1.0, 1.0))
-        spec = dataclasses.replace(bisector, branch="endpoint_wall1")
+        spec = dataclasses.replace(bisector, wall=1)
         with pytest.raises(ValueError, match="projected tilted walk has mean"):
             overshoot_moment(spec, (4, 4), horizon=1000, n=10,
                              rng=RngSpec(0, 0))

@@ -12,8 +12,9 @@ import inspect
 
 import pytest
 
-from conewalk import (build_cone, harmonic, montecarlo, solver, tilt_point,
-                      verify)
+from conewalk import (build_cone, cli, cone, harmonic, montecarlo,
+                      quadrant_reference, solver, steplaw, tilt_point,
+                      tiltgeom, verify)
 from conewalk.harmonic import (HarmonicSpec, spec_for_direction,
                                spec_for_endpoint)
 from conewalk.solver import TruncatedDomain
@@ -86,3 +87,12 @@ def test_records_compare_and_hash_by_identity(law5, quadrant_cone):
         assert record == record and not record != record
         assert record != twin and not record == twin
         assert len({record, twin, record}) == 2
+
+
+def test_public_parameter_count():
+    # Every public function and method of the nine modules, self included:
+    # a change to the public API edits this number in the same diff.
+    mods = (cli, cone, harmonic, montecarlo, quadrant_reference, solver,
+            steplaw, tiltgeom, verify)
+    assert sum(len(inspect.signature(fn).parameters)
+               for mod in mods for _, fn in _public_functions(mod)) == 174
