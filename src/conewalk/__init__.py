@@ -20,7 +20,7 @@ from .montecarlo import (AbsorptionCheck, ConnectivityScan, MartinRow,
                          MCEstimate, RngSpec, absorption_crosscheck,
                          local_irreducibility_scan, martin_ratio_table,
                          overshoot_moment)
-from .solver import (Bracket, HarmonicField, ResidualReport, TruncatedDomain,
+from .solver import (HarmonicField, ResidualReport, TruncatedDomain,
                      build_domain, exit_expectation, green_column,
                      harmonicity_residual, survival_probability)
 from .steplaw import ModelReport, StepLaw, validate_model
@@ -32,7 +32,7 @@ from .tiltgeom import (TiltPoint, boundary_polyline, epsilon_for_delta,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbsorptionCheck", "Bracket", "ConeGeometry",
+    "AbsorptionCheck", "ConeGeometry",
     "ConewalkError", "ConnectivityScan", "CrossExitBound",
     "DeltaTooLargeError", "DomainSizeError", "HarmonicField",
     "HarmonicSpec", "MartinRow", "MCEstimate", "ModelReport",

@@ -194,7 +194,7 @@ def cmd_boundary(cfg: ModelConfig, args) -> int:
     comments = []
     for wall in (1, 2):
         ep = spec_for_endpoint(cfg.law, cfg.cone, wall).tilt
-        ang = _angle_between(normal_direction(cfg.law, ep), cfg.cone.ray(wall))
+        ang = _angle_between(normal_direction(ep), cfg.cone.ray(wall))
         comments.append(f"arc_endpoint_{wall} "
                         f"a=({ep.a[0]:.17g},{ep.a[1]:.17g}) "
                         f"level_residual={ep.value - 1.0:.3e} "

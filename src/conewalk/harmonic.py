@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import ConeGeometry, _angle_between
-from .solver import (Bracket, HarmonicField, TruncatedDomain,
-                     DEFAULT_DELTA_GRID, exit_expectation)
+from .solver import (HarmonicField, TruncatedDomain, DEFAULT_DELTA_GRID,
+                     exit_expectation)
 from .steplaw import StepLaw
 from .tiltgeom import (TiltPoint, epsilon_for_delta, normal_direction,
-                       point_with_normal, tilt_point)
+                       point_with_normal)
 
 #: Angular tolerance deciding the endpoint branch.
 BRANCH_ANGLE_TOL = 1e-8
@@ -56,7 +56,7 @@ class HarmonicSpec:
         return "interior" if self.wall is None else f"endpoint_wall{self.wall}"
 
 
-def classify_spec(law: StepLaw, cone: ConeGeometry, a) -> HarmonicSpec:
+def classify_spec(cone: ConeGeometry, point: TiltPoint) -> HarmonicSpec:
     """Classify a boundary tilt into its branch by the normal direction.
 
     The tilt must lie on the unit level set with normal in the closed
@@ -65,11 +65,10 @@ def classify_spec(law: StepLaw, cone: ConeGeometry, a) -> HarmonicSpec:
     endpoint branch; borderline normals (within ten times the tolerance)
     attach a warning since the two formulas are different objects.
     """
-    point = tilt_point(law, a)
     if not point.on_boundary:
         raise ValueError(f"tilt is not on the level-set boundary "
                          f"(mgf = {point.value!r})")
-    q = normal_direction(law, point)
+    q = normal_direction(point)
     if not (cone.f1 @ q >= -BRANCH_ANGLE_TOL and cone.f2 @ q >= -BRANCH_ANGLE_TOL):
         raise ValueError("normal direction falls outside the cone's sector")
     ang1 = _angle_between(q, cone.c1)
@@ -90,14 +89,14 @@ def classify_spec(law: StepLaw, cone: ConeGeometry, a) -> HarmonicSpec:
 
 def spec_for_direction(law: StepLaw, cone: ConeGeometry, q) -> HarmonicSpec:
     """Build the spec for the boundary tilt whose normal is ``q``."""
-    return classify_spec(law, cone, point_with_normal(law, q))
+    return classify_spec(cone, point_with_normal(law, q))
 
 
 def spec_for_endpoint(law: StepLaw, cone: ConeGeometry, wall: int) -> HarmonicSpec:
     """Build the endpoint-branch spec for wall 1 or 2."""
     if wall not in (1, 2):
         raise ValueError("wall must be 1 or 2")
-    return classify_spec(law, cone, point_with_normal(law, cone.ray(wall)))
+    return classify_spec(cone, point_with_normal(law, cone.ray(wall)))
 
 
 def _check_model(spec: HarmonicSpec, domain: TruncatedDomain) -> None:
@@ -192,9 +191,11 @@ def free_harmonic_value(law: StepLaw, q, z) -> tuple[float, float]:
 
 @dataclass
 class CrossExitBound:
-    """Computed opposite-wall term and its certified exponential bound."""
+    """Computed opposite-wall term, bracketed by ``lo`` and ``hi``, and its
+    certified exponential bound."""
 
-    term: Bracket
+    lo: float
+    hi: float
     bound: float
     eps: float
     delta: float
@@ -223,13 +224,13 @@ def cross_exit_bound(spec: HarmonicSpec, domain: TruncatedDomain, z,
     j = 3 - i
     f_i = spec.cone.normal(i)
     f_j = spec.cone.normal(j)
-    eps = epsilon_for_delta(spec.law, spec.tilt, delta, f_i, f_j)
+    eps = epsilon_for_delta(spec.tilt, delta, f_i, f_j)
     u = exit_expectation(domain, spec.tilt, wall=i, through=j,
                          delta_grid=DEFAULT_DELTA_GRID + (delta,))
-    b = u.bracket(z)
+    k = domain.index_of(z)
     zv = np.asarray(z, dtype=float)
     scale = math.exp(-float(spec.tilt.a @ zv))
-    term = Bracket(b.lo * scale, b.hi * scale)
     exponent = float((delta * f_i - eps * f_j) @ zv)
-    return CrossExitBound(term=term, bound=(1.0 / delta) * math.exp(exponent),
+    return CrossExitBound(lo=float(u.lo[k]) * scale, hi=float(u.hi[k]) * scale,
+                          bound=(1.0 / delta) * math.exp(exponent),
                           eps=eps, delta=delta)

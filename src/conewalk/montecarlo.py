@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import ConeGeometry
-from .solver import Bracket, TruncatedDomain, exit_expectation, green_column
+from .solver import TruncatedDomain, exit_expectation, green_column
 from .steplaw import LatticePoint, StepLaw, _reachable
-from .tiltgeom import TiltPoint, _unit, tilt_point, wall_decay_exponent
+from .tiltgeom import TiltPoint, _unit, wall_decay_exponent
 from .harmonic import HarmonicSpec, build_h, spec_for_direction
 
 #: Paths are declared safe from ever exiting once both wall distances give
@@ -174,9 +174,11 @@ def _simulate_batch(tilt: TiltPoint, cone: ConeGeometry, z0, horizon: int,
 
 @dataclass
 class AbsorptionCheck:
-    """Solver bracket vs simulated absorption frequency for one tilt."""
+    """Solver bracket ``[lo, hi]`` vs simulated absorption frequency for
+    one tilt."""
 
-    bracket: Bracket
+    lo: float
+    hi: float
     mc_mean: float
     mc_stderr: float
     truncated_fraction: float
@@ -189,8 +191,8 @@ class AbsorptionCheck:
         return self.upper_ok and self.lower_ok
 
 
-def absorption_crosscheck(domain: TruncatedDomain, a, z0, horizon: int,
-                          n: int, rng: RngSpec) -> AbsorptionCheck:
+def absorption_crosscheck(domain: TruncatedDomain, point: TiltPoint, z0,
+                          horizon: int, n: int, rng: RngSpec) -> AbsorptionCheck:
     """Check ``E_z[exp(a.(S - z)) at exit] = P(tilted walk ever exits)``
     for the walk with the domain's law, killed outside the domain's cone.
 
@@ -200,23 +202,21 @@ def absorption_crosscheck(domain: TruncatedDomain, a, z0, horizon: int,
     ``P(exit by horizon)``, a lower stream, so the truncated fraction
     enters the lower comparison as a one-sided bias allowance.
     """
-    law, cone = domain.law, domain.cone
-    point = tilt_point(law, a)
     u = exit_expectation(domain, point)
-    b = u.bracket(z0)
+    i = domain.index_of(z0)
     scale = math.exp(-float(point.a @ np.asarray(z0, dtype=float)))
-    bracket = Bracket(b.lo * scale, b.hi * scale)
+    lo, hi = float(u.lo[i]) * scale, float(u.hi[i]) * scale
 
     gen = rng.generator()
-    which, _, _ = _simulate_batch(point, cone, z0, horizon, gen, n)
+    which, _, _ = _simulate_batch(point, domain.cone, z0, horizon, gen, n)
     absorbed = int((which > 0).sum())
     truncated = int((which == 0).sum())
     p_hat = absorbed / n
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / n) / n)
     bias = truncated / n
-    upper_ok = p_hat <= bracket.hi + 3.0 * stderr
-    lower_ok = bracket.lo <= p_hat + bias + 3.0 * stderr
-    return AbsorptionCheck(bracket=bracket, mc_mean=p_hat, mc_stderr=stderr,
+    upper_ok = p_hat <= hi + 3.0 * stderr
+    lower_ok = lo <= p_hat + bias + 3.0 * stderr
+    return AbsorptionCheck(lo=lo, hi=hi, mc_mean=p_hat, mc_stderr=stderr,
                            truncated_fraction=bias, n=n,
                            upper_ok=upper_ok, lower_ok=lower_ok)
 

@@ -6,8 +6,8 @@ written with explicit coordinates, the truncation caps are re-solved with
 scalar bisections, and the linear system is assembled state by state and
 solved densely.  It deliberately shares no code with the general solver
 so the two can check each other; only the bracket *semantics* (the cap
-formulas and the tangential-offset grid) are common, since they define
-the quantity being computed.
+formulas, the tangential-offset grid and its halving below the grid) are
+common, since they define the quantity being computed.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import NonConvergenceError
 
 Atoms = dict[tuple[int, int], float]
 
@@ -105,15 +107,21 @@ def reference_harmonic(atoms: Atoms, a: tuple[float, float], wall: int | None,
     if wall is not None:
         fi = (1.0, 0.0) if wall == 1 else (0.0, 1.0)
         fj = (0.0, 1.0) if wall == 1 else (1.0, 0.0)
-        for d in sorted({float(x) for x in delta_grid}, reverse=True):
+        # A level set too thin for the whole grid is tried at halved
+        # offsets below it while they still move a.
+        offsets = sorted({float(x) for x in delta_grid}, reverse=True)
+        for d in offsets:
             try:
-                e = _largest_return_shift(atoms, a1 + d * fi[0], a2 + d * fi[1],
-                                          fj[0], fj[1])
+                eps_pairs.append((d, _largest_return_shift(
+                    atoms, a1 + d * fi[0], a2 + d * fi[1], fj[0], fj[1])))
             except ValueError:
-                continue
-            eps_pairs.append((d, e))
+                pass
+            if (d == offsets[-1] and not eps_pairs
+                    and (a1 + d / 2 * fi[0], a2 + d / 2 * fi[1]) != (a1, a2)):
+                offsets.append(d / 2)
         if not eps_pairs:
-            raise ValueError("no usable tangential offset for the reference caps")
+            raise NonConvergenceError(
+                "no usable tangential offset for the reference caps")
         cap_i = max(abs(dx if wall == 1 else dy) for (dx, dy) in atoms)
 
     def far_bounds(x: int, y: int) -> tuple[float, float]:

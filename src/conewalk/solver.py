@@ -43,7 +43,7 @@ from .cone import ConeGeometry
 from .errors import DomainSizeError, NoIntersectionError, NonConvergenceError
 from .steplaw import LatticePoint, StepLaw, _guarded
 from .tiltgeom import (TiltPoint, boundary_polyline, interior_minimum,
-                       largest_level_shift, tilt_point, wall_decay_exponent)
+                       largest_level_shift, wall_decay_exponent)
 
 #: Default tangential offsets for the opposite-wall truncation bound.
 DEFAULT_DELTA_GRID = (0.5, 0.25, 0.1, 0.05)
@@ -64,28 +64,6 @@ _CHUNK = 16_384
 
 #: Codes of ``TruncatedDomain.succ`` for successors that are not states.
 EXIT, FAR = -1, -2
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """A certified interval ``[lo, hi]`` containing an untruncated value."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("bracket endpoints must be finite")
-        if self.lo > self.hi:
-            raise ValueError(f"bracket is inverted: [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
 
 class TruncatedDomain:
@@ -196,8 +174,8 @@ class TruncatedDomain:
     def _system(self, tilt: TiltPoint | None):
         """``(A, lu)`` for ``A = I - P_a`` up to ``DIRECT_LIMIT`` states;
         above it ``(None, op)``, the sweep operator; ``A`` is not formed."""
-        if tilt is not None:  # a point of another law raises ValueError
-            tilt = tilt_point(self.law, tilt)
+        if tilt is not None and tilt.law != self.law:
+            raise ValueError("tilt point was made for a different step law")
         key = self._tilt_key(tilt)
         if key not in self._lu_cache:
             w = self.law.probs if tilt is None else tilt.weights
@@ -345,10 +323,6 @@ class HarmonicField:
     def width(self) -> np.ndarray:
         return self.hi - self.lo
 
-    def bracket(self, z) -> Bracket:
-        i = self.domain.index_of(z)
-        return Bracket(float(self.lo[i]), float(self.hi[i]))
-
 
 # -- far-frontier substitute values ----------------------------------------
 
@@ -442,8 +416,9 @@ def _exit_mask(cone: ConeGeometry, pts: np.ndarray, through: int | None,
     return own if through == tie_wall else own & ~other
 
 
-def _as_tilt(law: StepLaw, a) -> TiltPoint:
-    point = tilt_point(law, a)
+def _as_tilt(law: StepLaw, point: TiltPoint) -> TiltPoint:
+    if point.law != law:  # its cached values are another law's
+        raise ValueError("tilt point was made for a different step law")
     if not point.in_closed_set:
         raise ValueError(
             f"tilt lies outside the unit level set (mgf = {point.value!r})")
@@ -467,10 +442,10 @@ def _bracket_field(domain: TruncatedDomain, b: np.ndarray, far_values,
     return HarmonicField(domain, np.minimum(lo, hi), np.maximum(lo, hi))
 
 
-def exit_expectation(domain: TruncatedDomain, a, wall: int | None = None,
+def exit_expectation(domain: TruncatedDomain, a: TiltPoint, wall: int | None = None,
                      through: int | None = None,
                      delta_grid=DEFAULT_DELTA_GRID) -> HarmonicField:
-    """Bracket ``E_z[g(S at exit); exit happens]`` for every domain state,
+    """Enclose ``E_z[g(S at exit); exit happens]`` for every domain state,
     for the walk with the domain's law, killed outside the domain's cone.
 
     ``g`` is ``exp(a.y)`` for ``wall`` None, else ``(f_i.y) exp(a.y)`` for
@@ -507,8 +482,8 @@ def exit_expectation(domain: TruncatedDomain, a, wall: int | None = None,
     return _bracket_field(domain, b, far_values)
 
 
-def survival_probability(domain: TruncatedDomain, a) -> HarmonicField:
-    """Bracket the probability that the tilted walk never leaves the cone.
+def survival_probability(domain: TruncatedDomain, a: TiltPoint) -> HarmonicField:
+    """Enclose the probability that the tilted walk never leaves the cone.
 
     The walk has the domain's law, tilted by ``a``: it moves with
     substochastic weights ``p(w) exp(a.w)``; the per-step mass deficit

@@ -71,29 +71,19 @@ class TiltPoint:
 
 
 def tilt_point(law: StepLaw, a) -> TiltPoint:
-    """``a`` as a :class:`TiltPoint` of ``law``.
-
-    A tilt point is returned as it is, so its cached values are reused;
-    one made for another law raises ``ValueError``, since its values are
-    that law's.  A plain vector is evaluated.
-    """
-    if isinstance(a, TiltPoint):
-        if a.law != law:
-            raise ValueError("tilt point was made for a different step law")
-        return a
+    """The tilt vector ``a`` as a :class:`TiltPoint` of ``law``, evaluated."""
     a = np.asarray(a, dtype=float).copy()
     value, grad, weights = law.mgf(a), law.mgf_grad(a), law._weights(a)
     return TiltPoint(a=a, value=value, grad=grad, weights=weights,
                      mass=float(weights.sum()), law=law)
 
 
-def normal_direction(law: StepLaw, a) -> np.ndarray:
-    """Normalised mgf gradient at ``a`` (the outward normal on the boundary)."""
-    grad = tilt_point(law, a).grad if isinstance(a, TiltPoint) else law.mgf_grad(a)
-    norm = float(np.linalg.norm(grad))
+def normal_direction(point: TiltPoint) -> np.ndarray:
+    """Normalised mgf gradient at ``point`` (the outward normal on the boundary)."""
+    norm = float(np.linalg.norm(point.grad))
     if norm < 1e-12:
         raise ZeroGradientError("mgf gradient vanishes; no normal direction here")
-    return grad / norm
+    return point.grad / norm
 
 
 def _mgf_safe(law: StepLaw, a: np.ndarray) -> float:
@@ -187,7 +177,7 @@ def _rising(law: StepLaw, base: np.ndarray, d: np.ndarray):
 
 
 def _reach(law: StepLaw, base: np.ndarray, d: np.ndarray) -> tuple[float, float]:
-    """Bracket ``(lo, t)`` of the near end of the section, for ``mgf(base) > 1``.
+    """The bracket ``(lo, t)`` of the near end of the section, for ``mgf(base) > 1``.
 
     ``mgf > 1`` at ``lo`` and ``mgf <= 1`` at ``t``.  The doubling stops at
     the first point inside the set or past the minimiser of the section; in
@@ -242,8 +232,9 @@ def _boundary_point(law: StepLaw, u: np.ndarray) -> np.ndarray:
     return center + _crossing(law, center, u) * u
 
 
-def epsilon_for_delta(law: StepLaw, a, delta: float, f_add, f_sub) -> float:
-    """Smallest ``eps > 0`` with ``mgf(a + delta*f_add - eps*f_sub) = 1``.
+def epsilon_for_delta(point: TiltPoint, delta: float, f_add, f_sub) -> float:
+    """Smallest ``eps > 0`` with ``mgf(a + delta*f_add - eps*f_sub) = 1``,
+    ``a`` the tilt of ``point``, under its law.
 
     ``a`` must lie on the boundary of the level set; pushing it out by
     ``delta`` along ``f_add`` and pulling back along ``f_sub`` lands on
@@ -253,8 +244,8 @@ def epsilon_for_delta(law: StepLaw, a, delta: float, f_add, f_sub) -> float:
     """
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
-    a = a.a if isinstance(a, TiltPoint) else np.asarray(a, dtype=float)
-    base = a + delta * np.asarray(f_add, dtype=float)
+    law = point.law
+    base = point.a + delta * np.asarray(f_add, dtype=float)
     f_sub = np.asarray(f_sub, dtype=float)
     g0 = _mgf_safe(law, base)
     if abs(g0 - 1.0) <= 1e-13:
@@ -278,8 +269,7 @@ def largest_level_shift(law: StepLaw, base, f) -> float:
     sub-unit section is an interval; this returns its far end.  Raises
     ``NoIntersectionError`` when the whole ray stays above 1.
     """
-    base = base.a if isinstance(base, TiltPoint) else np.asarray(base, dtype=float)
-    return _exit(law, base, -np.asarray(f, dtype=float))[0]
+    return _exit(law, np.asarray(base, dtype=float), -np.asarray(f, dtype=float))[0]
 
 
 def wall_decay_exponent(law: StepLaw, a, f) -> float:
@@ -291,7 +281,7 @@ def wall_decay_exponent(law: StepLaw, a, f) -> float:
     Returns 0 when the tilted drift has no component along ``f`` (the
     projected walk is mean-zero and no exponential bound exists).
     """
-    a = a.a if isinstance(a, TiltPoint) else np.asarray(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     f = np.asarray(f, dtype=float)
     if float(law.mgf_grad(a) @ f) <= 1e-12:
         return 0.0
@@ -360,7 +350,9 @@ def point_with_normal(law: StepLaw, q) -> TiltPoint:
         for _ in range(50):
             cand = x - t * step
             F_new = residual(cand)
-            if F_new is not None and np.linalg.norm(F_new) < norm_f:
+            with np.errstate(over="ignore"):  # an overflowing norm rejects the step
+                accept = F_new is not None and np.linalg.norm(F_new) < norm_f
+            if accept:
                 x, F = cand, F_new
                 break
             t *= 0.5
@@ -371,7 +363,7 @@ def point_with_normal(law: StepLaw, q) -> TiltPoint:
     if not ok:
         x = _point_with_normal_bisect(law, q)
     point = tilt_point(law, x[:2])
-    qq = normal_direction(law, point)
+    qq = normal_direction(point)
     angle_err = _angle_between(qq, q)
     if abs(point.value - 1.0) > LEVEL_TOL or angle_err > ANGLE_TOL:
         raise NonConvergenceError(
@@ -434,6 +426,6 @@ def boundary_polyline(law: StepLaw, n: int) -> np.ndarray:
     for k in range(n):
         psi = 2.0 * math.pi * k / n
         a = _boundary_point(law, np.array([math.cos(psi), math.sin(psi)]))
-        q = normal_direction(law, a)
+        q = normal_direction(tilt_point(law, a))
         rows[k] = (a[0], a[1], q[0], q[1])
     return rows

@@ -111,7 +111,7 @@ def check_normal_map_roundtrip(law: StepLaw):
         t = 2.0 * math.pi * k / 64
         q = np.array([math.cos(t), math.sin(t)])
         p = point_with_normal(law, q)
-        qq = normal_direction(law, p)
+        qq = normal_direction(p)
         ang = _angle_between(qq, q)
         worst_level = _worst(worst_level, abs(p.value - 1.0))
         worst_angle = _worst(worst_angle, ang)
@@ -154,7 +154,7 @@ def check_absorption_identity(domain: TruncatedDomain, tilts, seed: int,
                                         mc_samples, RngSpec(seed, stream))
             mc_ok = mc_ok and chk.consistent
             mc_notes.append(f"{name}: mc {chk.mc_mean:.4f}+-{chk.mc_stderr:.4f} "
-                            f"vs [{chk.bracket.lo:.4f},{chk.bracket.hi:.4f}]")
+                            f"vs [{chk.lo:.4f},{chk.hi:.4f}]")
             mc_rows.append(("absorption_crosscheck",
                             f"tilt={name} z={probe} horizon={horizon}",
                             chk.mc_mean, chk.mc_stderr, chk.n,
@@ -251,7 +251,7 @@ def check_cross_exit_bound(endpoint_specs, seed: int):
                     break
                 except DeltaTooLargeError:
                     delta *= 0.5
-            excess = res.term.hi - res.bound
+            excess = res.hi - res.bound
             worst = _worst(worst, excess)
             ok = ok and excess <= 1e-10
     return ok, f"max excess over bound {worst:.2e}"

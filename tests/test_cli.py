@@ -278,6 +278,31 @@ atom 0 -1 0.25
             assert all(len(row) == len(parsed[0]) for row in parsed)
         assert [row[2] for row in csv.reader(data[1:])] == ["pass"] * 10
 
+    def test_thin_level_set_verifies(self, tmp_path):
+        # E/W/N/S masses 10/10/10/11 over 41: the level set is thinner
+        # across either wall than the smallest offset of the grid, so the
+        # quadrant reference (criterion 6) once refused with exit 3.
+        thin = "".join(f"atom {dx} {dy} {m / 41!r}\n" for (dx, dy), m in
+                       {(1, 0): 10, (-1, 0): 10, (0, 1): 10, (0, -1): 11}.items())
+        path = write_config(tmp_path, "cone_dirs 0 1 1 0\nradius 60\n" + thin)
+        assert main(["--config", str(path), "--quiet", "--seed", "1", "verify",
+                     "--samples", "2000", "--horizon", "2000"]) == 0
+
+    def test_reference_refusal_is_non_convergence(self, tmp_path, monkeypatch,
+                                                  capsys):
+        from conewalk import quadrant_reference, verify
+
+        def no_section(*args):
+            raise ValueError("reference shift solve found no sub-unit section")
+        monkeypatch.setattr(quadrant_reference, "_largest_return_shift",
+                            no_section)
+        for name, _ in verify.CRITERIA:  # only criterion 6 runs
+            if name != "check_quadrant_reference":
+                monkeypatch.setattr(verify, name, lambda *args: (True, "stub"))
+        path = write_config(tmp_path, GOOD_CONFIG)
+        assert main(["--config", str(path), "--quiet", "verify"]) == 2
+        assert "no usable tangential offset" in capsys.readouterr().err
+
     def test_martin_table_csv_and_determinism(self, tmp_path):
         path = write_config(tmp_path, GOOD_CONFIG)
         outputs = []

@@ -47,6 +47,26 @@ def test_nan_fields_fail_every_gate_that_reads_them(nan_fields):
     assert results[9][1].endswith("single-wall cap nan")
 
 
+def test_nan_probes_fail_criteria_3_and_8(monkeypatch, capsys):
+    # Both read one probe state of a field; NaN there fails them, where a
+    # scalar bracket type once raised and verify exited 3.
+    solve = solver._bracket_field
+
+    def poisoned(*args, **kwargs):
+        field = solve(*args, **kwargs)
+        field.lo[:] = field.hi[:] = np.nan
+        return field
+    monkeypatch.setattr(solver, "_bracket_field", poisoned)
+    for name, _ in verify.CRITERIA:
+        if name not in ("check_absorption_identity", "check_cross_exit_bound"):
+            monkeypatch.setattr(verify, name, lambda *args: (True, "stub"))
+    assert main(["--config", str(CONFIG_DIR / "quadrant.cfg"), "verify",
+                 "--samples", "2000", "--horizon", "2000"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] 3." in out and "vs [nan,nan]" in out
+    assert "[FAIL] 8." in out and "max excess over bound nan" in out
+
+
 def test_harmonic_exits_1_on_nan_states(nan_fields, tmp_path):
     assert main(["--config", str(CONFIG_DIR / "quadrant.cfg"), "--out",
                  str(tmp_path), "--quiet", "--radius", "15", "harmonic"]) == 1

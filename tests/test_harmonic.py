@@ -40,13 +40,16 @@ class TestSpecClassification:
 
     def test_off_boundary_tilt_rejected(self, law4, quadrant_cone):
         with pytest.raises(ValueError):
-            classify_spec(law4, quadrant_cone, (-0.3, -0.1))
+            classify_spec(quadrant_cone, tilt_point(law4, (-0.3, -0.1)))
 
     def test_tilt_point_of_another_law_rejected(self, law4, law5,
                                                 quadrant_cone):
-        point = point_with_normal(law5, (1.0, 1.0))
+        # Classified under the point's own law; a domain of another law
+        # refuses the spec.
+        spec = classify_spec(quadrant_cone, point_with_normal(law5, (1.0, 1.0)))
+        assert spec.law is law5
         with pytest.raises(ValueError, match="different step law"):
-            classify_spec(law4, quadrant_cone, point)
+            build_h(spec, build_domain(quadrant_cone, law4, 10))
 
 
 class TestBuildH:
@@ -180,9 +183,9 @@ class TestCrossExitBound:
         d = build_domain(quadrant_cone, law4, 40)
         spec = spec_for_endpoint(law4, quadrant_cone, 1)
         res = cross_exit_bound(spec, d, (3, 12), 0.2)
-        assert res.term.hi <= res.bound + 1e-10
+        assert res.hi <= res.bound + 1e-10
         assert res.eps > 0.0
-        assert res.term.lo >= -1e-12
+        assert res.lo >= -1e-12
 
     def test_decay_along_favourable_ray(self, law4, quadrant_cone):
         d = build_domain(quadrant_cone, law4, 40)
@@ -195,7 +198,7 @@ class TestCrossExitBound:
                    for n in (1, 2, 3, 4)]
         bounds = [r.bound for r in results]
         assert all(a > b for a, b in zip(bounds, bounds[1:]))
-        terms = [r.term.hi for r in results]
+        terms = [r.hi for r in results]
         assert terms[-1] < terms[0]
 
     def test_symmetric_swap(self, law4, quadrant_cone):
@@ -205,7 +208,7 @@ class TestCrossExitBound:
         r1 = cross_exit_bound(s1, d, (4, 9), 0.25)
         r2 = cross_exit_bound(s2, d, (9, 4), 0.25)
         assert r1.bound == pytest.approx(r2.bound, rel=1e-9)
-        assert r1.term.hi == pytest.approx(r2.term.hi, rel=1e-9)
+        assert r1.hi == pytest.approx(r2.hi, rel=1e-9)
 
     def test_halved_delta_still_holds(self, law4, quadrant_cone):
         d = build_domain(quadrant_cone, law4, 30)
@@ -213,7 +216,7 @@ class TestCrossExitBound:
         eps_prev = None
         for delta in (0.4, 0.2, 0.1):
             res = cross_exit_bound(spec, d, (2, 10), delta)
-            assert res.term.hi <= res.bound + 1e-10
+            assert res.hi <= res.bound + 1e-10
             if eps_prev is not None:
                 assert res.eps < eps_prev
             eps_prev = res.eps

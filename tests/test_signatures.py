@@ -1,10 +1,10 @@
 """A computation reads its model from the one record that carries it.
 
-On a truncated domain the law and cone come from the domain, and for a
-solved boundary tilt the law, cone and wall come from its
-:class:`HarmonicSpec`; no public function may take them a second time
-beside either, nor name a wall of a law and cone instead of taking the
-endpoint spec.
+On a truncated domain the law and cone come from the domain, a
+:class:`TiltPoint` carries the law it was made for, and for a solved
+boundary tilt the law, cone and wall come from its :class:`HarmonicSpec`;
+no public function may take them a second time beside any of these, nor
+name a wall of a law and cone instead of taking the endpoint spec.
 """
 
 import dataclasses
@@ -18,6 +18,10 @@ from conewalk import (build_cone, cli, cone, harmonic, montecarlo,
 from conewalk.harmonic import (HarmonicSpec, spec_for_direction,
                                spec_for_endpoint)
 from conewalk.solver import TruncatedDomain
+from conewalk.tiltgeom import TiltPoint
+
+MODULES = (cli, cone, harmonic, montecarlo, quadrant_reference, solver,
+           steplaw, tiltgeom, verify)
 
 
 def _public_functions(mod):
@@ -67,6 +71,26 @@ def test_no_model_beside_a_spec(mod):
     assert not doubled
 
 
+@pytest.mark.parametrize("mod", MODULES, ids=lambda m: m.__name__)
+def test_no_law_beside_a_tilt_point(mod):
+    doubled = []
+    for name, fn in _public_functions(mod):
+        params = inspect.signature(fn, eval_str=True).parameters
+        if "law" in params and any(_takes(p, TiltPoint) for p in params.values()):
+            doubled.append(name)
+    assert not doubled
+
+
+@pytest.mark.parametrize("fn", [
+    solver.exit_expectation, solver.survival_probability,
+    solver.TruncatedDomain.solve, montecarlo.absorption_crosscheck,
+    harmonic.classify_spec, tiltgeom.normal_direction,
+    tiltgeom.epsilon_for_delta], ids=lambda fn: fn.__qualname__)
+def test_a_tilt_enters_as_a_point(fn):
+    params = inspect.signature(fn, eval_str=True).parameters.values()
+    assert any(_takes(p, TiltPoint) for p in params)
+
+
 def test_spec_reads_its_law_from_its_tilt(law5, quadrant_cone):
     for spec in (spec_for_endpoint(law5, quadrant_cone, 1),
                  spec_for_direction(law5, quadrant_cone, (1.0, 1.0))):
@@ -92,7 +116,5 @@ def test_records_compare_and_hash_by_identity(law5, quadrant_cone):
 def test_public_parameter_count():
     # Every public function and method of the nine modules, self included:
     # a change to the public API edits this number in the same diff.
-    mods = (cli, cone, harmonic, montecarlo, quadrant_reference, solver,
-            steplaw, tiltgeom, verify)
     assert sum(len(inspect.signature(fn).parameters)
-               for mod in mods for _, fn in _public_functions(mod)) == 174
+               for mod in MODULES for _, fn in _public_functions(mod)) == 169

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import MODEL_NAMES, load_config, small_models
-from conewalk import (Bracket, DomainSizeError, StepLaw, build_cone,
+from conewalk import (DomainSizeError, StepLaw, build_cone,
                       build_cone_from_angles, build_domain, build_h, exit_expectation, green_column,
                       harmonicity_residual, point_with_normal, solver,
                       spec_for_endpoint, steplaw, survival_probability,
@@ -20,6 +20,12 @@ from conewalk.cli import _default_probes
 from conewalk.solver import (EXIT, FAR, HarmonicField, ResidualReport,
                              _exit_mask, _free_green_bound, _gauss_seidel,
                              _SweepOperator, _UnitLower)
+
+
+def _at(field, z) -> tuple[float, float]:
+    """The field's bracket ``(lo, hi)`` at state ``z``."""
+    i = field.domain.index_of(z)
+    return float(field.lo[i]), float(field.hi[i])
 
 
 def dp_exit_expectation(law, cone, radius, a, payoff_wall=None, iters=4000):
@@ -314,16 +320,17 @@ class TestComparisonFunctions:
         law, cone, radius, _ = model
         assume(steplaw._failed_hypothesis(law) is None)
         d = _small_domain(law, cone, radius)
-        e1, e2 = (spec_for_endpoint(law, cone, i).tilt.a for i in (1, 2))
-        mid = point_with_normal(law, cone.c1 + cone.c2).a
+        e1, e2 = (spec_for_endpoint(law, cone, i).tilt for i in (1, 2))
+        mid = point_with_normal(law, cone.c1 + cone.c2)
         # Each endpoint tilt with the plain payoff and its own wall's.  At
         # endpoint i, wall j's bound shifts out along f_j and back along
         # -f_i, which is tangent there, so no shift reaches the level set
         # (FarBounds.build refuses), except through rounding.
         payoffs = [(e1, (None, 1)), (e2, (None, 2)),
-                   (mid, (None, 1, 2)), (0.5 * (e1 + e2), (None, 1, 2))]
-        calls = [(a, functools.partial(exit_expectation, d, a, wall, through))
-                 for a, walls in payoffs for wall in walls
+                   (mid, (None, 1, 2)),
+                   (tilt_point(law, 0.5 * (e1.a + e2.a)), (None, 1, 2))]
+        calls = [(p.a, functools.partial(exit_expectation, d, p, wall, through))
+                 for p, walls in payoffs for wall in walls
                  for through in (None, 1, 2)]
         calls.append((np.zeros(2), functools.partial(
             green_column, d, d.states[d.n_states // 2])))
@@ -345,15 +352,15 @@ class TestSingleState:
         u = exit_expectation(d, tilt_point(law4, a))
         expected = sum(p * math.exp(a @ (np.array([2, 1]) + np.array(w)))
                        for w, p in law4.atoms.items())
-        b = u.bracket((2, 1))
-        assert b.lo == pytest.approx(expected, rel=1e-14)
-        assert b.hi == pytest.approx(expected, rel=1e-14)
+        lo, hi = _at(u, (2, 1))
+        assert lo == pytest.approx(expected, rel=1e-14)
+        assert hi == pytest.approx(expected, rel=1e-14)
 
     def test_zero_tilt_exits_with_probability_one(self, law4):
         cone = build_cone((3, 1), (5, 3))
         d = build_domain(cone, law4, 2)
         u = exit_expectation(d, tilt_point(law4, (0.0, 0.0)))
-        assert u.bracket((2, 1)).lo == pytest.approx(1.0, abs=1e-14)
+        assert _at(u, (2, 1))[0] == pytest.approx(1.0, abs=1e-14)
 
 
 class TestExitExpectation:
@@ -363,7 +370,7 @@ class TestExitExpectation:
         u = exit_expectation(d, tilt_point(law4, a))
         oracle = dp_exit_expectation(law4, quadrant_cone, 8, a)
         for z, val in oracle.items():
-            assert u.bracket(z).lo == pytest.approx(val, abs=1e-11)
+            assert _at(u, z)[0] == pytest.approx(val, abs=1e-11)
 
     def test_linear_payoff_lower_solve_matches_value_iteration(self, law4,
                                                                quadrant_cone):
@@ -375,17 +382,17 @@ class TestExitExpectation:
         for z, val in oracle.items():
             # The lower far substitute is negative, so the oracle (far
             # worth zero) must dominate the lower bracket.
-            b = u.bracket(z)
-            assert b.lo <= val + 1e-11
-            assert val <= b.hi + 1e-11
+            lo, hi = _at(u, z)
+            assert lo <= val + 1e-11
+            assert val <= hi + 1e-11
 
     def test_exit_probability_below_one_with_inward_drift(self, law4,
                                                           quadrant_cone):
         d = build_domain(quadrant_cone, law4, 40)
         u = exit_expectation(d, tilt_point(law4, (0.0, 0.0)))
-        b = u.bracket((20, 20))
-        assert b.hi < 1.0
-        assert b.lo > 0.0
+        lo, hi = _at(u, (20, 20))
+        assert hi < 1.0
+        assert lo > 0.0
 
     @pytest.mark.parametrize("wall,solves", [(None, 2), (1, 0), (2, 0)])
     def test_wall_exponents_solved_only_for_the_plain_payoff(
@@ -439,7 +446,7 @@ class TestExitExpectation:
     def test_unknown_wall_rejected(self, law4, quadrant_cone, kw):
         d = build_domain(quadrant_cone, law4, 10)
         with pytest.raises(ValueError, match="must be None, 1 or 2"):
-            exit_expectation(d, (0.0, 0.0), **kw)
+            exit_expectation(d, tilt_point(law4, (0.0, 0.0)), **kw)
 
 
 class TestSurvival:
@@ -456,10 +463,10 @@ class TestSurvival:
     def test_positive_survival_under_inward_drift(self, law4, quadrant_cone):
         d = build_domain(quadrant_cone, law4, 40)
         s = survival_probability(d, tilt_point(law4, (0.0, 0.0)))
-        assert s.bracket((10, 10)).lo > 0.0
+        assert _at(s, (10, 10))[0] > 0.0
         # deeper along the drift ray the walk survives more often
-        assert s.bracket((25, 25)).lo > s.bracket((5, 5)).hi - 0.2
-        assert s.bracket((25, 25)).mid > s.bracket((5, 5)).mid
+        assert _at(s, (25, 25))[0] > _at(s, (5, 5))[1] - 0.2
+        assert sum(_at(s, (25, 25))) > sum(_at(s, (5, 5)))
 
     def test_endpoint_tilt_upper_bound_shrinks(self, law4, quadrant_cone):
         point = point_with_normal(law4, quadrant_cone.c1)
@@ -467,8 +474,9 @@ class TestSurvival:
         for r in (30, 60):
             d = build_domain(quadrant_cone, law4, r)
             s = survival_probability(d, point)
-            assert s.bracket((1, 10)).lo == pytest.approx(0.0, abs=1e-12)
-            uppers.append(s.bracket((1, 10)).hi)
+            lo, hi = _at(s, (1, 10))
+            assert lo == pytest.approx(0.0, abs=1e-12)
+            uppers.append(hi)
         assert uppers[1] < uppers[0]
 
     def test_tilt_point_of_another_law_rejected(self, law4, law5,
@@ -479,17 +487,15 @@ class TestSurvival:
         for field in (survival_probability, exit_expectation):
             with pytest.raises(ValueError, match="different step law"):
                 field(d, tilt_point(law5, a))
-        own = survival_probability(d, tilt_point(law4, a)).bracket((5, 5))
-        assert own == survival_probability(d, a).bracket((5, 5))
-        assert own.lo > 0.98
+        assert _at(survival_probability(d, tilt_point(law4, a)), (5, 5))[0] > 0.98
 
     def test_zero_tilt_shares_the_untilted_system(self, law4, quadrant_cone):
         d = build_domain(quadrant_cone, law4, 20)
-        exit_expectation(d, (0.0, 0.0))
+        exit_expectation(d, tilt_point(law4, (0.0, 0.0)))
         cached = len(d._lu_cache)
-        s = survival_probability(d, (0.0, 0.0))
+        s = survival_probability(d, tilt_point(law4, (0.0, 0.0)))
         assert len(d._lu_cache) == cached
-        assert s.bracket((10, 10)).lo > 0.0
+        assert _at(s, (10, 10))[0] > 0.0
 
     def test_kill_mass_counts_as_survival(self, law4, quadrant_cone):
         # Deep inside with a strongly substochastic tilt, survival is
@@ -498,14 +504,14 @@ class TestSurvival:
         a = tilt_point(law4, (-0.4, -0.4))
         assert a.value < 1.0
         s = survival_probability(d, a)
-        assert s.bracket((10, 10)).lo > 0.9
+        assert _at(s, (10, 10))[0] > 0.9
 
 
 class TestGreen:
     def test_diagonal_at_least_one(self, law4, quadrant_cone):
         d = build_domain(quadrant_cone, law4, 12)
         g = green_column(d, (4, 4))
-        assert g.bracket((4, 4)).lo >= 1.0 - 1e-12
+        assert _at(g, (4, 4))[0] >= 1.0 - 1e-12
         # The killed walk's upper bracket stays below the free walk's bound.
         free = _free_green_bound(law4, d.states - np.array([4, 4]))
         assert np.all(g.hi <= free * (1.0 + 1e-12))
@@ -515,16 +521,16 @@ class TestGreen:
         law = StepLaw({(1, 1): 0.5, (1, -1): 0.2, (-1, 1): 0.2, (-1, -1): 0.1})
         d = build_domain(quadrant_cone, law, 10)
         g = green_column(d, (3, 3))
-        assert g.bracket((3, 4)).lo == 0.0
-        assert g.bracket((4, 4)).lo > 0.0
+        assert _at(g, (3, 4))[0] == 0.0
+        assert _at(g, (4, 4))[0] > 0.0
 
     def test_swap_symmetry_for_symmetric_law(self, law4, quadrant_cone):
         d = build_domain(quadrant_cone, law4, 12)
         g1 = green_column(d, (5, 3))
         g2 = green_column(d, (3, 5))
         for (x, y) in [(2, 2), (4, 7), (6, 1)]:
-            assert g1.bracket((x, y)).lo == pytest.approx(
-                g2.bracket((y, x)).lo, rel=1e-10)
+            assert _at(g1, (x, y))[0] == pytest.approx(
+                _at(g2, (y, x))[0], rel=1e-10)
 
     @staticmethod
     def _target(d, law, frac):
@@ -540,9 +546,9 @@ class TestGreen:
         for frac in (0.3, 0.5, 0.7):
             g = green_column(d, self._target(d, cfg.law, frac))
             for probe in _default_probes(cfg, 3):
-                b = g.bracket(probe)
-                assert b.lo > 0.0
-                assert b.width <= 1e-6 * b.lo
+                lo, hi = _at(g, probe)
+                assert lo > 0.0
+                assert hi - lo <= 1e-6 * lo
 
     @pytest.mark.parametrize("model", MODEL_NAMES)
     def test_brackets_nest_from_R_to_2R(self, model):
@@ -863,13 +869,3 @@ class TestSolvers:
         A = sp.csr_matrix(np.array([[1.0, -4.0], [-4.0, 1.0]]))
         with pytest.raises(NonConvergenceError):
             _gauss_seidel(reference_operator(A), np.ones(2), max_sweeps=50)
-
-
-class TestBracketType:
-    def test_invariants(self):
-        b = Bracket(1.0, 2.0)
-        assert b.width == 1.0 and b.mid == 1.5
-        with pytest.raises(ValueError):
-            Bracket(2.0, 1.0)
-        with pytest.raises(ValueError):
-            Bracket(0.0, math.inf)

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conewalk import (DeltaTooLargeError, NoIntersectionError, StepLaw,
-                      boundary_polyline, classify_spec, epsilon_for_delta,
-                      interior_minimum, normal_direction, point_with_normal,
-                      spec_for_endpoint, tilt_point, wall_decay_exponent)
+                      boundary_polyline, build_domain, build_h, classify_spec,
+                      epsilon_for_delta, exit_expectation, interior_minimum,
+                      normal_direction, point_with_normal, spec_for_endpoint,
+                      tilt_point, wall_decay_exponent)
 from conewalk.tiltgeom import _point_with_normal_bisect, largest_level_shift
 
 LN2 = math.log(2.0)
@@ -49,7 +51,7 @@ class TestNormalMap:
                 q = np.array([math.cos(t), math.sin(t)])
                 p = point_with_normal(law, q)
                 assert abs(p.value - 1.0) <= 1e-10
-                qq = normal_direction(law, p)
+                qq = normal_direction(p)
                 ang = math.atan2(abs(qq[0] * q[1] - qq[1] * q[0]), qq @ q)
                 assert ang <= 1e-8
 
@@ -85,15 +87,25 @@ class TestNormalMap:
     def test_normal_at_origin_is_drift_direction(self, law4, law5):
         for law in (law4, law5):
             m = law.drift()
-            q = normal_direction(law, np.zeros(2))
+            q = normal_direction(tilt_point(law, np.zeros(2)))
             assert np.allclose(q, m / np.linalg.norm(m), atol=1e-14)
-        assert normal_direction(law4, np.zeros(2)) == pytest.approx(
+        assert normal_direction(tilt_point(law4, np.zeros(2))) == pytest.approx(
             np.array([1.0, 1.0]) / math.sqrt(2.0))
+
+    def test_overflowing_line_search_step_rejected_quietly(self):
+        # A Newton step whose residual norm overflows is a rejected step,
+        # not a numpy warning.
+        law = StepLaw({(1, 0): 0.9997, (-1, 0): 1e-4, (0, 1): 1e-4,
+                       (0, -1): 1e-4})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = point_with_normal(law, (0.9238795325112867, 0.3826834323650898))
+        assert abs(p.value - 1.0) <= 1e-12
 
     def test_zero_gradient_signalled(self, law4):
         from conewalk import ZeroGradientError
         with pytest.raises(ZeroGradientError):
-            normal_direction(law4, interior_minimum(law4))
+            normal_direction(tilt_point(law4, interior_minimum(law4)))
 
     def test_interior_minimum_is_cached_and_read_only(self, law5,
                                                       monkeypatch):
@@ -105,17 +117,22 @@ class TestNormalMap:
         with pytest.raises(ValueError):
             again[0] = 0.0
 
-    def test_tilt_point_of_another_law_rejected(self, law4, law5):
+    def test_tilt_point_of_another_law_rejected(self, law4, law5,
+                                                quadrant_cone):
+        # The point carries its law: a domain of another law refuses it.
         point = point_with_normal(law5, (1.0, 1.0))
         with pytest.raises(ValueError, match="different step law"):
-            normal_direction(law4, point)
+            exit_expectation(build_domain(quadrant_cone, law4, 10), point)
 
-    def test_tilt_point_of_an_equal_law_reused(self, law5, monkeypatch):
+    def test_tilt_point_of_an_equal_law_reused(self, law5, quadrant_cone,
+                                               monkeypatch):
+        # Its normal and a domain of an equal law read its cached values.
         point = point_with_normal(law5, (1.0, 1.0))
+        d = build_domain(quadrant_cone, StepLaw(dict(law5.atoms)), 10)
         evals = _count_mgf_evals(monkeypatch)
-        assert tilt_point(StepLaw(dict(law5.atoms)), point) is point
-        assert np.array_equal(normal_direction(law5, point),
+        assert np.array_equal(normal_direction(point),
                               point.grad / np.linalg.norm(point.grad))
+        assert np.isfinite(d.solve(np.ones((d.n_states, 1)), point)).all()
         assert not evals
 
 
@@ -138,7 +155,7 @@ class TestBoundaryArc:
     def test_endpoints_have_ray_normals(self, law4, quadrant_cone):
         for wall in (1, 2):
             ep = spec_for_endpoint(law4, quadrant_cone, wall).tilt
-            assert np.allclose(normal_direction(law4, ep),
+            assert np.allclose(normal_direction(ep),
                                quadrant_cone.ray(wall), atol=1e-8)
 
     def test_symmetric_law_gives_mirror_endpoints(self, law4, quadrant_cone):
@@ -148,22 +165,24 @@ class TestBoundaryArc:
 
     def test_membership(self, law4, quadrant_cone):
         origin = tilt_point(law4, (0.0, 0.0))  # normal is the drift direction
-        assert classify_spec(law4, quadrant_cone, origin).branch == "interior"
+        assert classify_spec(quadrant_cone, origin).branch == "interior"
         ep1 = spec_for_endpoint(law4, quadrant_cone, 1).tilt
-        assert (classify_spec(law4, quadrant_cone, ep1).branch
-                == "endpoint_wall1")
+        assert classify_spec(quadrant_cone, ep1).branch == "endpoint_wall1"
         outside = point_with_normal(law4, (-1.0, 0.0))
         with pytest.raises(ValueError, match="outside the cone's sector"):
-            classify_spec(law4, quadrant_cone, outside)
+            classify_spec(quadrant_cone, outside)
         inside_but_off_boundary = tilt_point(law4, (-0.3, -0.1))
         with pytest.raises(ValueError, match="not on the level-set boundary"):
-            classify_spec(law4, quadrant_cone, inside_but_off_boundary)
+            classify_spec(quadrant_cone, inside_but_off_boundary)
 
     def test_tilt_point_of_another_law_rejected(self, law4, law5,
                                                 quadrant_cone):
-        point = point_with_normal(law5, (1.0, 1.0))
+        # The spec is classified under the point's own law, and a domain
+        # of another law refuses it.
+        spec = classify_spec(quadrant_cone, point_with_normal(law5, (1.0, 1.0)))
+        assert spec.law is law5
         with pytest.raises(ValueError, match="different step law"):
-            classify_spec(law4, quadrant_cone, point)
+            build_h(spec, build_domain(quadrant_cone, law4, 10))
 
 
 class TestBoundaryShift:
@@ -175,7 +194,7 @@ class TestBoundaryShift:
         f = np.array([1.0, 0.0])
         assert law4.mgf_grad(p.a) @ f > 0
         assert abs(law4.mgf(p.a) - 1.0) <= 1e-13
-        assert epsilon_for_delta(law4, p.a, 0.0, f, f) == 0.0
+        assert epsilon_for_delta(p, 0.0, f, f) == 0.0
 
     def test_interior_start_matches_bisection_oracle(self, law4, law5):
         rng = np.random.default_rng(9)
@@ -186,7 +205,7 @@ class TestBoundaryShift:
                 a = rng.uniform(0.2, 0.9) * a_bd
                 phi = rng.uniform(0, 2 * math.pi)
                 f = np.array([math.cos(phi), math.sin(phi)])
-                lam = epsilon_for_delta(law, a, 0.0, f, f)
+                lam = epsilon_for_delta(tilt_point(law, a), 0.0, f, f)
                 assert lam > 0.0
                 assert abs(law.mgf(a - lam * f) - 1.0) <= 1e-12
                 # Independent scalar bisection along the same ray.
@@ -208,12 +227,12 @@ class TestBoundaryShift:
         assert law4.mgf(a) > 1.0
         f = -np.array([1.0, 1.0]) / math.sqrt(2)  # ray moves further out
         with pytest.raises(NoIntersectionError):
-            epsilon_for_delta(law4, a, 0.0, f, f)
+            epsilon_for_delta(tilt_point(law4, a), 0.0, f, f)
 
     def test_outside_start_crossing_returns_smallest_root(self, law4):
         a = np.array([1.2, 1.2])
         f = np.array([1.0, 1.0]) / math.sqrt(2)
-        lam = epsilon_for_delta(law4, a, 0.0, f, f)
+        lam = epsilon_for_delta(tilt_point(law4, a), 0.0, f, f)
         assert lam > 0.0
         assert abs(law4.mgf(a - lam * f) - 1.0) <= 1e-12
         # Smallest root: slightly shorter shifts stay outside.
@@ -223,14 +242,14 @@ class TestBoundaryShift:
 class TestEpsilonForDelta:
     def test_verified_level_residual(self, law4, quadrant_cone):
         p = point_with_normal(law4, quadrant_cone.c1)
-        eps = epsilon_for_delta(law4, p, 0.01, quadrant_cone.f1, quadrant_cone.f2)
+        eps = epsilon_for_delta(p, 0.01, quadrant_cone.f1, quadrant_cone.f2)
         assert eps > 0.0
         c_tilde = p.a + 0.01 * quadrant_cone.f1 - eps * quadrant_cone.f2
         assert abs(law4.mgf(c_tilde) - 1.0) <= 1e-12
 
     def test_monotone_to_zero(self, law4, quadrant_cone):
         p = point_with_normal(law4, quadrant_cone.c1)
-        values = [epsilon_for_delta(law4, p, 2.0 ** -k,
+        values = [epsilon_for_delta(p, 2.0 ** -k,
                                     quadrant_cone.f1, quadrant_cone.f2)
                   for k in range(1, 8)]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -239,16 +258,16 @@ class TestEpsilonForDelta:
     def test_too_large_delta_raises(self, law4, cone45):
         p = point_with_normal(law4, cone45.c1)
         with pytest.raises(DeltaTooLargeError):
-            epsilon_for_delta(law4, p, 0.5, cone45.f1, cone45.f2)
+            epsilon_for_delta(p, 0.5, cone45.f1, cone45.f2)
         # Halving eventually succeeds, per the error contract.
-        eps = epsilon_for_delta(law4, p, 0.125, cone45.f1, cone45.f2)
+        eps = epsilon_for_delta(p, 0.125, cone45.f1, cone45.f2)
         assert eps > 0.0
 
     def test_section_shorter_than_first_step(self, law4, cone45):
         # The pulled-back line meets the set on about [0.087, 0.849], so the
         # first trial step t = 1 already lies past the whole section.
         p = point_with_normal(law4, cone45.c1)
-        eps = epsilon_for_delta(law4, p, 0.3, cone45.f1, cone45.f2)
+        eps = epsilon_for_delta(p, 0.3, cone45.f1, cone45.f2)
         assert eps > 0.0
         c_tilde = p.a + 0.3 * cone45.f1 - eps * cone45.f2
         assert abs(law4.mgf(c_tilde) - 1.0) <= 1e-12
@@ -263,8 +282,8 @@ class TestDecayExponents:
 
     def test_endpoint_projection_gives_zero(self, law4, quadrant_cone):
         p = point_with_normal(law4, quadrant_cone.c1)
-        assert wall_decay_exponent(law4, p, quadrant_cone.f1) == 0.0
-        assert wall_decay_exponent(law4, p, quadrant_cone.f2) > 0.0
+        assert wall_decay_exponent(law4, p.a, quadrant_cone.f1) == 0.0
+        assert wall_decay_exponent(law4, p.a, quadrant_cone.f2) > 0.0
 
     def test_exponent_lands_on_level_set(self, law4, law5, quadrant_cone):
         for law in (law4, law5):
@@ -276,7 +295,7 @@ class TestDecayExponents:
         p = point_with_normal(law4, quadrant_cone.c1)
         delta = 0.25
         base = p.a + delta * quadrant_cone.f1
-        eps = epsilon_for_delta(law4, p, delta, quadrant_cone.f1, quadrant_cone.f2)
+        eps = epsilon_for_delta(p, delta, quadrant_cone.f1, quadrant_cone.f2)
         far = largest_level_shift(law4, base, quadrant_cone.f2)
         assert far > eps
         assert law4.mgf(base - far * quadrant_cone.f2) <= 1.0 + 1e-12
@@ -299,7 +318,7 @@ class TestPolyline:
         assert rows.shape == (16, 4)
         for a1, a2, q1, q2 in rows:
             assert law4.mgf((a1, a2)) == pytest.approx(1.0, abs=1e-10)
-            q = normal_direction(law4, np.array([a1, a2]))
+            q = normal_direction(tilt_point(law4, (a1, a2)))
             assert np.allclose(q, (q1, q2), atol=1e-12)
 
     def test_closes_up(self, law4):

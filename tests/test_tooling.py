@@ -6,6 +6,7 @@ does not look up at call time would silently drop its metric.  The file
 is loaded and read here, never modified.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -50,6 +51,39 @@ def test_tracer_names_resolve(tracer):
     for name in tracer.CRITERIA:
         assert inspect.isfunction(getattr(verify, name)), name
     assert isinstance(solver.FarBounds.__dict__["build"], classmethod)
+
+
+def _span_names() -> set[str]:
+    """The literal span names that ``op_layer_metrics`` reduces: the lists
+    handed to ``outer`` and ``_outer``, and the ``names`` of ``_self``."""
+    tree = ast.parse(TRACER.read_text())
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "op_layer_metrics")
+    names = set()
+    for call in ast.walk(fn):
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+            lists = {"outer": call.args[1:2], "_outer": call.args[2:3]}.get(
+                call.func.id, []) + [kw.value for kw in call.keywords
+                                     if kw.arg == "names"]
+            names |= {elt.value for node in lists
+                      if isinstance(node, (ast.List, ast.Set))
+                      for elt in node.elts if isinstance(elt, ast.Constant)}
+    return names
+
+
+def test_span_names_resolve():
+    # The tracer's proxy for solver.spla spans splu and the sweeps'
+    # triangular solves; every other name is a package function.
+    names = _span_names()
+    assert {"tiltgeom.epsilon_for_delta", "harmonic.classify_spec",
+            "montecarlo.local_irreducibility_scan", "solver.splu"} <= names
+    for name in names:
+        short, dotted = name.split(".", 1)
+        if name in ("solver.splu", "solver.spsolve_triangular"):
+            obj = getattr(solver.spla, dotted)
+        else:
+            obj = _resolve(short, dotted)
+        assert callable(obj), name
 
 
 def _stub_checks(tracer, monkeypatch) -> list:
