@@ -70,7 +70,7 @@ class ModelConfig:
 def parse_config_text(text: str, name: str = "model") -> ModelConfig:
     atoms: list[list[float]] = []
     cone_dirs = cone_angles = None
-    radius = seed = None
+    ints: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -90,10 +90,10 @@ def parse_config_text(text: str, name: str = "model") -> ModelConfig:
                 if len(args) != 2:
                     raise ValueError("expects 2 angles in degrees")
                 cone_angles = (float(args[0]), float(args[1]))
-            elif key == "radius":
-                radius = int(args[0])
-            elif key == "seed":
-                seed = int(args[0])
+            elif key in ("radius", "seed"):
+                if len(args) != 1:
+                    raise ValueError("expects 1 integer")
+                ints[key] = int(args[0])
             else:
                 raise ValueError("unknown key")
         except (ValueError, IndexError) as exc:
@@ -102,10 +102,9 @@ def parse_config_text(text: str, name: str = "model") -> ModelConfig:
         raise ConfigError("missing field 'atom': at least one step is required")
     if (cone_dirs is None) == (cone_angles is None):
         raise ConfigError("exactly one of 'cone_dirs' or 'cone_angles' is required")
+    radius, seed = ints.get("radius"), ints.get("seed", 0)
     if radius is None:
         raise ConfigError("missing field 'radius'")
-    if seed is None:
-        seed = 0
     try:
         law = StepLaw.from_triples(atoms)
     except ValueError as exc:

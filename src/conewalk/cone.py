@@ -33,9 +33,8 @@ def _angle_between(u: np.ndarray, v: np.ndarray) -> float:
 class ConeGeometry:
     """Boundary rays, inward normals, and membership predicates.
 
-    ``exact_dirs`` holds the integer ray directions when available, in
-    which case ``_w1``/``_w2`` are the (unnormalised) integer inward
-    normals used for exact membership tests.
+    For integer ray directions, ``_w1``/``_w2`` are the primitive integer
+    inward normals used for exact membership tests.
     """
 
     c1: np.ndarray
@@ -43,7 +42,6 @@ class ConeGeometry:
     f1: np.ndarray
     f2: np.ndarray
     opening_angle: float
-    exact_dirs: tuple[tuple[int, int], tuple[int, int]] | None
     _w1: tuple[int, int] | None = field(default=None, repr=False)
     _w2: tuple[int, int] | None = field(default=None, repr=False)
 
@@ -131,8 +129,7 @@ def _build(c1: np.ndarray, c2: np.ndarray,
     for v in (c1, c2, f1, f2):
         v.setflags(write=False)
     return ConeGeometry(c1=c1, c2=c2, f1=f1, f2=f2,
-                        opening_angle=_angle_between(c1, c2),
-                        exact_dirs=exact, _w1=w1, _w2=w2)
+                        opening_angle=_angle_between(c1, c2), _w1=w1, _w2=w2)
 
 
 def build_cone(dir1, dir2) -> ConeGeometry:

@@ -136,8 +136,9 @@ def _walk(cum: np.ndarray, steps: np.ndarray, mass: float, z0, n: int,
 
 def _simulate_batch(tilt: TiltPoint, cone: ConeGeometry, z0, horizon: int,
                     rng: np.random.Generator, n: int):
-    """Simulate ``n`` paths from ``z0`` of the walk tilted by the point
-    ``tilt``, killed at rate ``1 - tilt.mass``; returns (which, steps, points).
+    """Simulate ``n`` paths from the cone state ``z0`` of the walk tilted by
+    the point ``tilt``, killed at rate ``1 - tilt.mass``; returns (which,
+    steps, points).
 
     ``which`` uses the integer codes 1/2/3 for wall1/wall2/both, 0 for
     horizon, -1 for killed, -2 for escaped (past both walls'
@@ -162,10 +163,6 @@ def _simulate_batch(tilt: TiltPoint, cone: ConeGeometry, z0, horizon: int,
                  & (q @ cone.f2 >= escape[1])] = -2
         return code
 
-    if not cone.contains(z0):
-        # Starting outside the cone exits immediately with zero steps.
-        start = np.tile(np.asarray(z0, dtype=np.int64), (n, 1))
-        return stop(start).astype(np.int64), np.zeros(n, dtype=np.int64), start
     which, steps, points = _walk(np.cumsum(tilt.weights), tilt.law.steps,
                                  tilt.mass, z0, n, horizon, rng, stop)
     points[which <= 0] = 0

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -61,6 +60,15 @@ MAX_STATES = 300_000
 #: Points per slab when a domain's box is enumerated or its rows are
 #: listed, which bounds the temporaries of both.
 _CHUNK = 16_384
+
+#: ``splu`` options that factor a unit lower triangle as itself: natural
+#: column order and no row pivoting or equilibration leave both
+#: permutations the identity and ``U = I``.  With no relaxed supernodes
+#: ``solve`` substitutes column by column, as a triangular solve does, but
+#: for columns of nested structure (a box corner's last two), which it
+#: solves as one dense block and may round an ulp apart.
+_TRIANGLE_SPLU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1,
+                      panel_size=1, options=dict(Equil=False))
 
 #: Codes of ``TruncatedDomain.succ`` for successors that are not states.
 EXIT, FAR = -1, -2
@@ -191,15 +199,10 @@ class TruncatedDomain:
                     backward=True), shape=shape)
                 self._lu_cache[key] = (A, spla.splu(A, permc_spec="MMD_AT_PLUS_A"))
             else:
-                inv_diag = np.full(self.n_states, 1.0 / diag)
-                lower = _UnitLower(self._layout(
-                    [None] + neg, [1.0, *(-w[neg] * inv_diag[0])], backward=True),
-                    shape=shape)
-                # Caches has_canonical_format, so the sum_duplicates() that
-                # every sweep calls returns at once and never writes.
-                lower.sum_duplicates()
-                for arr in (lower.data, lower.indices, lower.indptr):
-                    arr.setflags(write=False)
+                inv_diag = 1.0 / diag
+                lower = spla.splu(sp.csc_matrix(self._layout(
+                    [None] + neg, [1.0, *(-w[neg] * inv_diag)], backward=True),
+                    shape=shape), **_TRIANGLE_SPLU)
                 upper = sp.csr_matrix(self._layout(pos, -w[pos], backward=False),
                                       shape=shape)
                 self._lu_cache[key] = (None, _SweepOperator(lower, upper, inv_diag))
@@ -222,13 +225,7 @@ class TruncatedDomain:
         A, solver = self._system(tilt)
         if isinstance(solver, _SweepOperator):
             first, *rest = b.T
-            # The columns share the read-only triangle.  spsolve_triangular
-            # still calls its setdiag(1), which writes nothing there, inside
-            # warnings.catch_warnings, which is not thread-safe: concurrent
-            # sweeps can leave a stray "ignore" filter behind.  Restoring
-            # the caller's filters after the last column discards it.
-            with warnings.catch_warnings(), \
-                    ThreadPoolExecutor(max_workers=max(1, len(rest))) as pool:
+            with ThreadPoolExecutor(max_workers=max(1, len(rest))) as pool:
                 futures = [pool.submit(_gauss_seidel, solver, col)
                            for col in rest]
                 x = [_gauss_seidel(solver, first)]
@@ -238,33 +235,19 @@ class TruncatedDomain:
         return x
 
 
-class _UnitLower(sp.csc_matrix):
-    """A lower triangle whose stored diagonal is all ones and whose arrays
-    are read-only, so concurrent sweeps can share it.
-
-    ``spsolve_triangular(..., unit_diagonal=True)`` calls ``setdiag(1)`` on
-    the matrix it is given; here that call checks its arguments and
-    writes nothing.
-    """
-
-    def setdiag(self, values, k=0):
-        if k != 0 or not np.all(np.equal(values, 1)):
-            raise ValueError("a unit lower triangle only takes setdiag(1)")
-
-
 class _SweepOperator(NamedTuple):
     """Forward Gauss-Seidel splitting of ``A``, laid out once per system.
 
-    ``lower`` is the lower triangle of ``A`` with each column scaled by
-    ``1/diag(A)`` and a unit diagonal (a read-only :class:`_UnitLower`),
-    ``upper`` the strict upper triangle (CSR), ``inv_diag`` is
-    ``1/diag(A)``.  A sweep is then the same arithmetic
-    ``spsolve_triangular`` does on the unscaled triangle.
+    ``lower`` is the ``splu`` factor of the lower triangle of ``A`` with
+    each column scaled by ``1/diag(A)`` and a unit diagonal, ``upper`` the
+    strict upper triangle (CSR), ``inv_diag`` is ``1/diag(A)``, the same at
+    every state.  A sweep is then the arithmetic of a triangular solve on
+    the unscaled triangle, but for the dense blocks of ``_TRIANGLE_SPLU``.
     """
 
-    lower: _UnitLower
+    lower: spla.SuperLU
     upper: sp.csr_matrix
-    inv_diag: np.ndarray
+    inv_diag: float
 
 
 def _gauss_seidel(op: _SweepOperator, b: np.ndarray, tol: float = 1e-13,
@@ -283,8 +266,7 @@ def _gauss_seidel(op: _SweepOperator, b: np.ndarray, tol: float = 1e-13,
     scale = max(1.0, float(np.abs(b).max()))
     best = math.inf
     for _ in range(max_sweeps):
-        x = spla.spsolve_triangular(L, b - Ux, lower=True, overwrite_A=True,
-                                    overwrite_b=True, unit_diagonal=True)
+        x = L.solve(b - Ux)
         x *= inv_diag
         Ux_new = U @ x
         res = float(np.abs(Ux - Ux_new).max()) / scale

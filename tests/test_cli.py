@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import CONFIG_DIR
 from conewalk.cli import ConfigError, _write_csv, main, parse_config_text
 
 GOOD_CONFIG = """\
@@ -46,6 +47,20 @@ class TestConfigParsing:
         bad = GOOD_CONFIG.replace("radius 20", "radius 1")
         with pytest.raises(ConfigError, match="radius"):
             parse_config_text(bad)
+
+    @pytest.mark.parametrize("line", ["radius 20 500", "radius"])
+    def test_radius_takes_one_value(self, tmp_path, capsys, line):
+        path = write_config(tmp_path, GOOD_CONFIG.replace("radius 20", line))
+        assert main(["--config", str(path), "--quiet", "validate"]) == 3
+        assert ("config error: line 2: field 'radius': expects 1 integer"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("line", ["seed 1 7", "seed"])
+    def test_seed_takes_one_value(self, tmp_path, capsys, line):
+        path = write_config(tmp_path, GOOD_CONFIG.replace("seed 5", line))
+        assert main(["--config", str(path), "--quiet", "validate"]) == 3
+        assert ("config error: line 1: field 'seed': expects 1 integer"
+                in capsys.readouterr().err)
 
     def test_exactly_one_cone_spec(self):
         with pytest.raises(ConfigError, match="cone"):
@@ -302,6 +317,29 @@ atom 0 -1 0.25
         path = write_config(tmp_path, GOOD_CONFIG)
         assert main(["--config", str(path), "--quiet", "verify"]) == 2
         assert "no usable tangential offset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dirs", ["1 0 0 1", "0 2 3 0"])
+    def test_quadrant_reference_takes_any_spelling(self, dirs, tmp_path,
+                                                   monkeypatch, capsys):
+        # The reference's wall 1 is the line x = 0; each endpoint spec's
+        # wall is mapped to it by its normal, whatever the rays' order or
+        # length, so every spelling reads the bundled deviation.
+        from conewalk import verify
+        for name, _ in verify.CRITERIA:  # only criterion 6 runs
+            if name != "check_quadrant_reference":
+                monkeypatch.setattr(verify, name, lambda *args: (True, "stub"))
+        text = (CONFIG_DIR / "quadrant.cfg").read_text()
+        lines = []
+        for spelling in ("0 1 1 0", dirs):
+            path = write_config(tmp_path, text.replace(
+                "cone_dirs 0 1 1 0", f"cone_dirs {spelling}"))
+            assert main(["--config", str(path), "--seed", "1", "verify",
+                         "--samples", "2000", "--horizon", "2000"]) == 0
+            line, = [l for l in capsys.readouterr().out.splitlines()
+                     if " 6. " in l]
+            assert line.startswith("[pass]") and "max deviation" in line
+            lines.append(line.split(")", 1)[1])
+        assert lines[0] == lines[1]
 
     def test_martin_table_csv_and_determinism(self, tmp_path):
         path = write_config(tmp_path, GOOD_CONFIG)

@@ -69,21 +69,17 @@ class TestSampling:
                    for s in range(20)]
         assert len({(code, steps) for code, steps, _ in records}) > 1
 
-    def test_start_outside_exits_immediately(self, law4, quadrant_cone):
-        t = tilt_point(law4, (0.0, 0.0))
-        code, steps, point = one_path(t, quadrant_cone, (-2, 3), 100,
-                                      RngSpec(1, 0))
-        assert steps == 0
-        assert code == 1  # wall 1
-        assert point == (-2, 3)
-
     def test_guard_band_exit_keeps_its_wall(self, law4):
-        # (1, 1) lies on wall 1 up to rounding, inside the guard band.
+        # (1, 1) lies on wall 1 up to rounding, inside the guard band; the
+        # atom (0, -1) steps onto it from (1, 2).
         cone = build_cone_from_angles(45.0, 105.0)
-        code, steps, _ = one_path(tilt_point(law4, (0.0, 0.0)), cone, (1, 1), 10,
-                                  RngSpec(1, 0))
-        assert steps == 0
-        assert code == 1
+        with no_escape():
+            which, steps, pts = _simulate_batch(
+                tilt_point(law4, (0.0, 0.0)), cone, (1, 2), 1,
+                RngSpec(1, 0).generator(), 200)
+        onto = (pts == (1, 1)).all(axis=1)
+        assert onto.any()
+        assert np.all(which[onto] == 1) and np.all(steps[onto] == 1)
 
     def test_horizon_record_has_no_exit_point(self, law4, quadrant_cone):
         t = tilt_point(law4, (0.0, 0.0))

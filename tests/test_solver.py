@@ -19,7 +19,7 @@ from conewalk import (DomainSizeError, StepLaw, build_cone,
 from conewalk.cli import _default_probes
 from conewalk.solver import (EXIT, FAR, HarmonicField, ResidualReport,
                              _exit_mask, _free_green_bound, _gauss_seidel,
-                             _SweepOperator, _UnitLower)
+                             _SweepOperator)
 
 
 def _at(field, z) -> tuple[float, float]:
@@ -72,16 +72,26 @@ def reference_system(d, a=None) -> sp.csc_matrix:
     return (sp.identity(d.n_states, format="csr") - reference_kernel(d, a)).tocsc()
 
 
+def reference_triangle(A) -> tuple[sp.csc_matrix, float]:
+    """The lower triangle of ``A`` by ``sp.tril`` with each column scaled by
+    ``1/diag(A)`` and a unit diagonal, and ``1/diag(A)``, the same at every
+    state."""
+    diag = A.diagonal()
+    assert np.all(diag == diag[0])
+    inv_diag = 1.0 / diag[0]
+    L = sp.tril(A, format="csc")
+    L.data *= inv_diag
+    L.setdiag(1.0)
+    return L, inv_diag
+
+
 def reference_operator(A) -> _SweepOperator:
     """The Gauss-Seidel splitting of ``A`` by ``sp.tril`` and ``sp.triu``:
-    the lower triangle with each column scaled by ``1/diag(A)`` and a unit
-    diagonal, the strict upper triangle, and ``1/diag(A)``."""
-    inv_diag = 1.0 / A.diagonal()
-    L = sp.tril(A, format="csc")
-    L.data *= np.repeat(inv_diag, np.diff(L.indptr))
-    L.setdiag(1.0)
-    lower = _UnitLower((L.data, L.indices, L.indptr), shape=A.shape)
-    return _SweepOperator(lower, sp.triu(A, 1, format="csr"), inv_diag)
+    the reference triangle, factored with the solver's options, the strict
+    upper triangle, and ``1/diag(A)``."""
+    L, inv_diag = reference_triangle(A)
+    return _SweepOperator(spla.splu(L, **solver._TRIANGLE_SPLU),
+                          sp.triu(A, 1, format="csr"), inv_diag)
 
 
 def assert_same_arrays(M, ref):
@@ -249,21 +259,24 @@ class TestSuccessorTableProperties:
         for a in (None, tilt):
             A_ref = reference_system(d, a)
             point = None if a is None else tilt_point(law, a)
-            d._lu_cache.clear()
-            # splu would canonicalise A in place; check it as laid out.
-            with mock.patch.object(solver.spla, "splu", lambda A, **kw: None):
+            handed = []
+            # splu would canonicalise its matrix in place; check each path's
+            # matrix as laid out.
+            with mock.patch.object(solver.spla, "splu",
+                                   lambda M, **kw: handed.append(M)):
+                d._lu_cache.clear()
                 A, _ = d._system(point)
+                d._lu_cache.clear()
+                with mock.patch.object(solver, "DIRECT_LIMIT", 0):
+                    kept, op = d._system(point)
+            assert handed[0] is A and kept is None
             assert_same_arrays(A, A_ref)
-            ref = reference_operator(A_ref)
-            d._lu_cache.clear()
-            with mock.patch.object(solver, "DIRECT_LIMIT", 0):
-                kept, op = d._system(point)
-            assert kept is None
-            assert_same_arrays(op.lower, ref.lower)
-            assert_same_arrays(op.upper, ref.upper)
+            lower, inv_diag = reference_triangle(A_ref)
+            assert handed[1].format == "csc"
+            assert_same_arrays(handed[1], lower)
+            assert_same_arrays(op.upper, sp.triu(A_ref, 1, format="csr"))
             assert op.upper.format == "csr"
-            assert op.inv_diag.dtype == ref.inv_diag.dtype
-            assert np.array_equal(op.inv_diag, ref.inv_diag)
+            assert isinstance(op.inv_diag, float) and op.inv_diag == inv_diag
         rng = np.random.default_rng(d.n_states)
         lo = rng.uniform(0.5, 1.5, d.n_states)
         h = HarmonicField(domain=d, lo=lo,
@@ -636,6 +649,11 @@ class TestResidual:
         assert rep.max_residual == pytest.approx(worst, rel=1e-12)
 
 
+#: A law with a (0,0) atom, so ``I - P`` has 0.7 on its diagonal.
+LAZY_LAW = StepLaw({(0, 0): 0.3, (1, 0): 0.3, (-1, 0): 0.1, (0, 1): 0.2,
+                    (0, -1): 0.1})
+
+
 class TestSolvers:
     def test_gauss_seidel_matches_direct(self, law4, quadrant_cone):
         import scipy.sparse.linalg as spla
@@ -654,11 +672,20 @@ class TestSolvers:
         U = sp.triu(A, 1).tocsr()
         x = np.zeros_like(b)
         scale = max(1.0, float(np.abs(b).max()))
-        for _ in range(10_000):
+        for sweeps in range(1, 10_001):
             x = spla.spsolve_triangular(L, b - U @ x, lower=True)
             if float(np.abs(b - A @ x).max()) / scale <= tol:
-                return x
+                return x, sweeps
         raise AssertionError("reference sweeps did not converge")
+
+    @staticmethod
+    def _counted(op: _SweepOperator, calls: list) -> _SweepOperator:
+        """``op`` with its factor wrapped to count the sweeps' solves."""
+        class Counted:
+            def solve(self, rhs):
+                calls.append(None)
+                return op.lower.solve(rhs)
+        return op._replace(lower=Counted())
 
     @pytest.mark.parametrize("model", MODEL_NAMES)
     def test_prepared_sweeps_match_unprepared_triangle(self, model,
@@ -671,28 +698,16 @@ class TestSolvers:
         b = (np.random.default_rng(7).uniform(0.0, 1.0, d.n_states)
              * np.exp(d.states @ np.array([0.1, 0.05])))
         calls = []
-        triangular = spla.spsolve_triangular
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return triangular(*args, **kwargs)
-
-        # solver reaches the same module attribute through its spla alias.
-        monkeypatch.setattr(spla, "spsolve_triangular", counted)
-        swept = _gauss_seidel(op, b)
-        prepared_sweeps = len(calls)
-        calls.clear()
-        ref = self._unprepared_sweeps(A, b)
+        swept = _gauss_seidel(self._counted(op, calls), b)
+        ref, ref_sweeps = self._unprepared_sweeps(A, b)
         # The U x_old - U x_new residual stops on the same sweep as b - A x.
-        assert prepared_sweeps == len(calls) > 1
+        assert len(calls) == ref_sweeps > 1
         assert np.array_equal(swept, ref)
 
     def test_prepared_sweeps_on_lazy_law(self, quadrant_cone, monkeypatch):
         # A (0,0) atom puts 0.7, not 1, on the diagonal of I - P.
-        law = StepLaw({(0, 0): 0.3, (1, 0): 0.3, (-1, 0): 0.1, (0, 1): 0.2,
-                       (0, -1): 0.1})
         monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
-        d = build_domain(quadrant_cone, law, 30)
+        d = build_domain(quadrant_cone, LAZY_LAW, 30)
         b = np.random.default_rng(8).uniform(0.0, 1.0, d.n_states)
         x = d.solve(b[:, None])[:, 0]
         # The sweep path keeps only the prepared operator, not A.
@@ -701,8 +716,8 @@ class TestSolvers:
         A = reference_system(d)
         assert isinstance(op, _SweepOperator)
         assert d._system(None)[1] is op
-        assert np.all(op.lower.diagonal() == 1.0)
-        ref = self._unprepared_sweeps(A, b)
+        assert op.inv_diag == 1.0 / (1.0 - 0.3)
+        ref, _ = self._unprepared_sweeps(A, b)
         assert np.abs(x - ref).max() <= 1e-15 * np.abs(ref).max()
 
     @pytest.mark.parametrize("path", ["direct", "sweeps"])
@@ -725,8 +740,8 @@ class TestSolvers:
 
     def test_concurrent_sweeps_share_the_triangle(self, monkeypatch):
         # More columns than cores and a short switch interval: the threads
-        # interleave inside spsolve_triangular on the shared triangle, which
-        # nobody may write.
+        # interleave inside the shared factor's solve, which nobody may
+        # write.
         import sys
         import warnings
         monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
@@ -735,8 +750,7 @@ class TestSolvers:
         B = np.random.default_rng(10).uniform(0.0, 1.0, (d.n_states, 4))
         singles = [d.solve(col[:, None])[:, 0] for col in B.T]
         _, op = d._system(None)
-        indptr, indices = op.lower.indptr.copy(), op.lower.indices.copy()
-        data = op.lower.data.tobytes()
+        L, U = op.lower.L, op.lower.U
         filters = list(warnings.filters)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -744,30 +758,37 @@ class TestSolvers:
             X = d.solve(B)
         finally:
             sys.setswitchinterval(interval)
-        # No warning filter leaks out of the concurrent setdiag calls.
         assert warnings.filters == filters
         for k, x in enumerate(singles):
             assert np.array_equal(X[:, k], x)
-        assert np.array_equal(op.lower.indptr, indptr)
-        assert np.array_equal(op.lower.indices, indices)
-        assert op.lower.data.tobytes() == data
-        assert np.all(op.lower.diagonal() == 1.0)
-        for arr in (op.lower.data, op.lower.indices, op.lower.indptr):
-            assert not arr.flags.writeable
+        assert_same_arrays(op.lower.L, L)
+        assert_same_arrays(op.lower.U, U)
 
-    def test_unit_lower_only_takes_setdiag_1(self, law4, quadrant_cone,
-                                             monkeypatch):
+    @pytest.mark.parametrize("model", MODEL_NAMES + ("lazy",))
+    def test_sweep_factor_is_the_triangle(self, model, quadrant_cone,
+                                          monkeypatch):
+        # Identity permutations, U = I and L the laid-out triangle itself:
+        # the factor's solve is a plain substitution on that triangle.
+        if model == "lazy":
+            law, cone = LAZY_LAW, quadrant_cone
+        else:
+            cfg = load_config(model)
+            law, cone = cfg.law, cfg.cone
+        handed, factor = [], solver.spla.splu
+
+        def splu(M, **kwargs):
+            handed.append(M)
+            return factor(M, **kwargs)
+
         monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
-        d = build_domain(quadrant_cone, law4, 12)
-        lower = d._system(None)[1].lower
-        assert isinstance(lower, _UnitLower)
-        data = lower.data.tobytes()
-        with pytest.raises(ValueError):
-            lower.setdiag(2.0)
-        with pytest.raises(ValueError):
-            lower.setdiag(1, k=1)
-        lower.setdiag(1)
-        assert lower.data.tobytes() == data
+        monkeypatch.setattr(solver.spla, "splu", splu)
+        d = build_domain(cone, law, 40)
+        lu = d._system(None)[1].lower
+        n = d.n_states
+        assert np.array_equal(lu.perm_r, np.arange(n))
+        assert np.array_equal(lu.perm_c, np.arange(n))
+        assert_same_arrays(lu.U, sp.identity(n, format="csc"))
+        assert_same_arrays(lu.L, handed[0])
 
     def test_sweep_operator_layout_peak_memory(self, monkeypatch):
         # Laid out from the successor table, the set-up holds little beyond
@@ -775,16 +796,24 @@ class TestSolvers:
         monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
         cfg = load_config("asymmetric")
         d = build_domain(cfg.cone, cfg.law, 120)
+        handed, factor = [], solver.spla.splu
+
+        def splu(M, **kwargs):
+            handed.append(M.data.nbytes + M.indices.nbytes + M.indptr.nbytes)
+            return factor(M, **kwargs)
+
+        monkeypatch.setattr(solver.spla, "splu", splu)
         tracemalloc.start()
         try:
             _, op = d._system(None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = op.inv_diag.nbytes + sum(
-            arr.nbytes for M in (op.lower, op.upper)
-            for arr in (M.data, M.indices, M.indptr))
-        assert peak <= 1.5 * kept
+        # SuperLU's own storage is invisible to tracemalloc; bound the peak
+        # by the upper arrays kept and the triangle handed to splu.
+        upper = op.upper
+        kept = upper.data.nbytes + upper.indices.nbytes + upper.indptr.nbytes
+        assert peak <= 1.5 * (kept + handed[0])
 
     def test_no_identity_matrix_is_formed(self, monkeypatch):
         def identity(*args, **kwargs):

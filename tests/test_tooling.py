@@ -72,8 +72,8 @@ def _span_names() -> set[str]:
 
 
 def test_span_names_resolve():
-    # The tracer's proxy for solver.spla spans splu and the sweeps'
-    # triangular solves; every other name is a package function.
+    # The tracer's proxy for solver.spla spans splu and
+    # spsolve_triangular; every other name is a package function.
     names = _span_names()
     assert {"tiltgeom.epsilon_for_delta", "harmonic.classify_spec",
             "montecarlo.local_irreducibility_scan", "solver.splu"} <= names
@@ -182,6 +182,8 @@ def test_verify_solves_each_boundary_spec_once(tracer, monkeypatch, tmp_path):
 def test_exact_counters_see_every_factorisation(tracer, monkeypatch):
     # The tracer counts factorisations and reads args[0].nnz through a
     # proxy for solver.spla, which the solver must look up at call time.
+    # Both paths factor one matrix per system, and the sweeps make no
+    # spsolve_triangular call.
     calls = []
     linalg = solver.spla
 
@@ -189,14 +191,26 @@ def test_exact_counters_see_every_factorisation(tracer, monkeypatch):
         calls.append(args)
         return linalg.splu(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "spla", tracer._LinalgProxy(linalg, {"splu": splu}))
+    def triangular(*args, **kwargs):
+        raise AssertionError("spsolve_triangular was called")
+
+    monkeypatch.setattr(solver, "spla", tracer._LinalgProxy(
+        linalg, {"splu": splu, "spsolve_triangular": triangular}))
     cfg = load_config("asymmetric")
+    tilt = spec_for_endpoint(cfg.law, cfg.cone, 1).tilt
     d = solver.build_domain(cfg.cone, cfg.law, 40)
-    exit_expectation(d, spec_for_endpoint(cfg.law, cfg.cone, 1).tilt, wall=1)
+    exit_expectation(d, tilt, wall=1)
     assert len(calls) == 1
     A, _ = d._lu_cache[None]
     assert calls[0][0] is A
     assert calls[0][0].nnz == A.nnz == int((d.succ >= 0).sum()) + d.n_states
+
+    monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
+    d = solver.build_domain(cfg.cone, cfg.law, 40)
+    exit_expectation(d, tilt, wall=1)
+    assert len(calls) == 2
+    neg = [k for k, s in enumerate(cfg.law.steps.tolist()) if tuple(s) < (0, 0)]
+    assert calls[1][0].nnz == int((d.succ[:, neg] >= 0).sum()) + d.n_states
 
 
 def test_conftest_loads_every_package_module():
