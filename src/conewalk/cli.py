@@ -266,10 +266,7 @@ def cmd_martin(cfg: ModelConfig, args) -> int:
     radii = [float(r) for r in args.radii.split(",")] if args.radii else \
         [radius * f for f in (0.3, 0.5, 0.7)]
     if args.probes:
-        probes = []
-        for chunk in args.probes.split(";"):
-            x, y = chunk.split(",")
-            probes.append((int(x), int(y)))
+        probes = [_parse_probe(chunk) for chunk in args.probes.split(";")]
     else:
         probes = _default_probes(cfg, 3)
     rows = martin_ratio_table(build_domain(cfg.cone, cfg.law, radius), q,
@@ -283,6 +280,15 @@ def cmd_martin(cfg: ModelConfig, args) -> int:
     if not args.quiet:
         print(f"wrote {out}")
     return 0
+
+
+def _parse_probe(chunk: str) -> tuple[int, int]:
+    try:
+        x, y = map(int, chunk.split(","))
+    except ValueError:
+        raise ValueError(f"probe {chunk!r} must be 'x,y' with integer "
+                         "x and y") from None
+    return x, y
 
 
 def _default_probes(cfg: ModelConfig, count: int) -> list[tuple[int, int]]:

@@ -199,8 +199,8 @@ def absorption_crosscheck(domain: TruncatedDomain, point: TiltPoint, z0,
     ``P(exit by horizon)``, a lower stream, so the truncated fraction
     enters the lower comparison as a one-sided bias allowance.
     """
-    u = exit_expectation(domain, point)
     i = domain.index_of(z0)
+    u = exit_expectation(domain, point)
     scale = math.exp(-float(point.a @ np.asarray(z0, dtype=float)))
     lo, hi = float(u.lo[i]) * scale, float(u.hi[i]) * scale
 

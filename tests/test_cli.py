@@ -152,6 +152,32 @@ atom 0 -1 0.25
         if argv[-1] == "--q=nan,1":
             assert "normal direction [nan, 1.0] must be finite" in err[0]
 
+    @pytest.mark.parametrize("probes", ["1,2;", "1,2,3", "a,b"])
+    def test_malformed_probe_is_named(self, tmp_path, capsys, probes):
+        path = write_config(tmp_path, GOOD_CONFIG)
+        code = main(["--config", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet", "martin", f"--probes={probes}"])
+        assert code == 3
+        chunk = probes.split(";")[-1]
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid input: probe {chunk!r} must be 'x,y' with integer x and y"]
+
+    @pytest.mark.parametrize("flag,message", [
+        ("--samples", "sample count must be at least 1"),
+        ("--horizon", "horizon must be at least 1")])
+    def test_verify_refuses_bad_simulation_size_before_any_factor(
+            self, tmp_path, capsys, monkeypatch, flag, message):
+        from conewalk import solver
+
+        def splu(*args, **kwargs):
+            raise AssertionError("a system was factored")
+
+        monkeypatch.setattr(solver.spla, "splu", splu)
+        path = write_config(tmp_path, GOOD_CONFIG)
+        assert main(["--config", str(path), "--quiet", "verify",
+                     flag, "0"]) == 3
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+
     @pytest.mark.parametrize("command", [
         ["harmonic", "--q=1,1"], ["martin", "--q=1,1"], ["boundary"],
         ["verify"]], ids=lambda argv: argv[0])

@@ -456,6 +456,18 @@ class TestAbsorptionCrosscheck:
             absorption_crosscheck(d, point, (4, 4), horizon=100, n=10,
                                   rng=RngSpec(42, 2))
 
+    def test_off_domain_start_refused_before_any_solve(self, law4,
+                                                       quadrant_cone,
+                                                       monkeypatch):
+        solves = []
+        monkeypatch.setattr(montecarlo, "exit_expectation",
+                            lambda *args, **kwargs: solves.append(args))
+        d = build_domain(quadrant_cone, law4, 30)
+        with pytest.raises(KeyError):
+            absorption_crosscheck(d, tilt_point(law4, (0.0, 0.0)), (-3, 5),
+                                  horizon=100, n=10, rng=RngSpec(42, 1))
+        assert solves == []
+
     def test_endpoint_tilt_with_heavy_censoring(self, law4, quadrant_cone):
         # The projected walk is mean-zero, so absorption approaches one
         # slowly; the one-sided bias accounting must still be consistent.

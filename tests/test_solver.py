@@ -704,6 +704,36 @@ class TestSolvers:
         assert len(calls) == ref_sweeps > 1
         assert np.array_equal(swept, ref)
 
+    @pytest.mark.parametrize("model,merged", [
+        ("quadrant", [(40, 40)]), ("cone45", [(40, 39)]),
+        ("asymmetric", [(39, 40), (40, 40)])])
+    def test_sweep_factor_solve_contract(self, model, merged, monkeypatch):
+        # The factor's solve is column substitution on the triangle, bit for
+        # bit, but for the columns SuperLU merges into the supernode of the
+        # column before them (column j's rows are j and column j + 1's):
+        # those it solves as a dense block, to within 1 ulp.
+        cfg = load_config(model)
+        monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)
+        d = build_domain(cfg.cone, cfg.law, 40)
+        lu = d._system(None)[1].lower
+        L = lu.L
+        rows = [set(L.indices[L.indptr[j]:L.indptr[j + 1]].tolist())
+                for j in range(d.n_states)]
+        tails = [j + 1 for j in range(d.n_states - 1)
+                 if rows[j] == {j} | rows[j + 1]]
+        assert [tuple(d.states[j]) for j in tails] == merged
+        exact = np.ones(d.n_states, dtype=bool)
+        exact[tails] = False
+        triangle = L.tocsr()
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            b = (rng.uniform(0.0, 1.0, d.n_states)
+                 * np.exp(d.states @ np.array([0.1, 0.05])))
+            x = lu.solve(b)
+            ref = spla.spsolve_triangular(triangle, b, lower=True)
+            assert np.array_equal(x[exact], ref[exact])
+            assert np.all(np.abs(x - ref)[tails] <= np.spacing(np.abs(ref[tails])))
+
     def test_prepared_sweeps_on_lazy_law(self, quadrant_cone, monkeypatch):
         # A (0,0) atom puts 0.7, not 1, on the diagonal of I - P.
         monkeypatch.setattr(solver, "DIRECT_LIMIT", 0)

@@ -126,7 +126,9 @@ def test_suite_runner_shares_its_inputs(tracer, monkeypatch):
     specs = verify.boundary_specs(cfg)
     results = verify.run_model_suite(cfg, specs)
 
-    assert [name for name, _ in calls] == list(tracer.CRITERIA)
+    # Criterion 7 runs first; the results still come back in order.
+    assert [name for name, _ in calls] == \
+        [tracer.CRITERIA[k - 1] for k in (7, 1, 2, 3, 4, 5, 6, 8, 9, 10)]
     assert len(solved) == 3
     assert [r.number for r in results] == list(range(1, 11))
     assert [r.detail for r in results] == list(tracer.CRITERIA)
@@ -153,6 +155,51 @@ def test_suite_runner_shares_its_inputs(tracer, monkeypatch):
     for name in ("check_positivity_refinement", "check_bracket_invariants"):
         assert args[name][0] is d100 and args[name][1] is d150
     assert args["check_endpoint_survival_decay"][0] is d100
+
+
+def test_suite_factors_criterion_7_before_the_shared_caches_fill(
+        monkeypatch):
+    # Criterion 7's R = 200 systems are the largest the suite factors.
+    # They are factored while the R = 150 cache is empty and the R = 100
+    # cache holds at most criterion 7's own two factors; the suite makes
+    # the factorisations, and reaches the results, of the checks run in
+    # criterion order.
+    cfg = load_config("quadrant")
+    specs = verify.boundary_specs(cfg)
+    built, factored, at_200 = [], [], []
+    build, factor = verify.build_domain, solver.spla.splu
+
+    def build_domain(cone, law, radius):
+        built.append(build(cone, law, radius))
+        return built[-1]
+
+    def splu(M, **kwargs):
+        factored.append(M.shape[0])
+        if built[-1].radius == 200 and M.shape[0] == built[-1].n_states:
+            d100, d150 = built[:2]
+            at_200.append((len(d100._lu_cache), len(d150._lu_cache)))
+        return factor(M, **kwargs)
+
+    monkeypatch.setattr(verify, "build_domain", build_domain)
+    monkeypatch.setattr(solver.spla, "splu", splu)
+
+    def run(order):
+        monkeypatch.setattr(verify, "_EVALUATION_ORDER", order)
+        built.clear()
+        factored.clear()
+        at_200.clear()
+        results = verify.run_model_suite(cfg, specs, mc_samples=2000,
+                                         horizon=2000)
+        assert [d.radius for d in built[:2]] == [100, 150]
+        return ([(r.number, r.passed, r.detail, r.mc_rows) for r in results],
+                len(factored), list(at_200))
+
+    shipped, count, caches = run(verify._EVALUATION_ORDER)
+    assert caches == [(1, 0), (2, 0)]
+    assert [number for number, *_ in shipped] == list(range(1, 11))
+    in_order, in_order_count, _ = run(tuple(range(1, 11)))
+    assert count == in_order_count
+    assert shipped == in_order
 
 
 def test_verify_solves_each_boundary_spec_once(tracer, monkeypatch, tmp_path):
