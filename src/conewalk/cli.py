@@ -207,10 +207,19 @@ def cmd_boundary(cfg: ModelConfig, args) -> int:
 
 
 def _parse_direction(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError("direction must be 'qx,qy'")
-    return np.array([float(parts[0]), float(parts[1])])
+    try:
+        qx, qy = map(float, text.split(","))
+        return np.array([qx, qy])
+    except ValueError:
+        raise ValueError(f"--q {text!r} must be 'qx,qy' with real qx and qy") from None
+
+
+def _parse_radii(text: str) -> list[float]:
+    try:
+        return [float(r) for r in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--radii {text!r} must be comma-separated reals "
+                         "'r1,r2,...'") from None
 
 
 def cmd_harmonic(cfg: ModelConfig, args) -> int:
@@ -263,7 +272,7 @@ def cmd_harmonic(cfg: ModelConfig, args) -> int:
 def cmd_martin(cfg: ModelConfig, args) -> int:
     radius = cfg.radius if args.radius is None else args.radius
     q = _parse_direction(args.q) if args.q else cfg.law.drift()
-    radii = [float(r) for r in args.radii.split(",")] if args.radii else \
+    radii = _parse_radii(args.radii) if args.radii else \
         [radius * f for f in (0.3, 0.5, 0.7)]
     if args.probes:
         probes = [_parse_probe(chunk) for chunk in args.probes.split(";")]
@@ -299,11 +308,11 @@ def _default_probes(cfg: ModelConfig, count: int) -> list[tuple[int, int]]:
 
 
 def cmd_verify(cfg: ModelConfig, args) -> int:
-    from .verify import boundary_specs, overshoot_rows, run_model_suite
-    specs = boundary_specs(cfg)
-    results = run_model_suite(
-        cfg, specs, mc_samples=100_000 if args.samples is None else args.samples,
-        horizon=10_000 if args.horizon is None else args.horizon)
+    from . import verify
+    specs = verify.boundary_specs(cfg.law, cfg.cone)
+    results = verify.run_model_suite(
+        specs, cfg.seed, verify.MC_SAMPLES if args.samples is None else args.samples,
+        verify.MC_HORIZON if args.horizon is None else args.horizon)
     rows = []
     mc_rows = []
     for r in results:
@@ -321,7 +330,7 @@ def cmd_verify(cfg: ModelConfig, args) -> int:
         _write_csv(est_out, cfg, [],
                    ["operation", "params", "mean", "stderr", "n",
                     "truncated_fraction"],
-                   mc_rows + overshoot_rows(cfg, specs[:2]))
+                   mc_rows + verify.overshoot_rows(specs[:2], cfg.seed))
         if not args.quiet:
             print(f"wrote {out} and {est_out}")
     return 0 if all(r.passed for r in results) else 1

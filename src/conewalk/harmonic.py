@@ -99,15 +99,11 @@ def spec_for_endpoint(law: StepLaw, cone: ConeGeometry, wall: int) -> HarmonicSp
     return classify_spec(cone, point_with_normal(law, cone.ray(wall)))
 
 
-def _check_model(spec: HarmonicSpec, domain: TruncatedDomain) -> None:
-    """Raise ``ValueError`` unless ``domain`` was built for the spec's law
-    and cone, whose tilt would otherwise be paired with another walk."""
-    if spec.law != domain.law:
-        raise ValueError("domain was built for a different step law")
-    same_cone = domain.cone is spec.cone or (
-        np.allclose(domain.cone.f1, spec.cone.f1)
-        and np.allclose(domain.cone.f2, spec.cone.f2))
-    if not same_cone:
+def _check_cone(spec: HarmonicSpec, domain: TruncatedDomain) -> None:
+    """Raise ``ValueError`` unless ``domain`` was built for a cone with the
+    spec's inward normals, to the last bit (the solve refuses another law)."""
+    if not (np.array_equal(domain.cone.f1, spec.cone.f1)
+            and np.array_equal(domain.cone.f2, spec.cone.f2)):
         raise ValueError("domain was built for a different cone")
 
 
@@ -119,16 +115,16 @@ def build_h(spec: HarmonicSpec, domain: TruncatedDomain) -> HarmonicField:
     ``h`` uses the upper exit bracket and vice versa.  Outside the cone
     the function is 0 by convention; the field only stores interior states.
     """
-    _check_model(spec, domain)
+    _check_cone(spec, domain)
     u = exit_expectation(domain, spec.tilt, wall=spec.wall)
     # The lead term is formed after the solve, off the solve's peak memory.
     z = domain.states.astype(float)
     lead = np.exp(z @ spec.tilt.a)
     if spec.wall is not None:
         lead = (z @ spec.cone.normal(spec.wall)) * lead
-    lo = lead - u.hi
-    hi = lead - u.lo
-    return HarmonicField(domain, np.minimum(lo, hi), np.maximum(lo, hi))
+    # u.lo <= u.hi, and lead - x is monotone under rounding: lo <= hi.
+    return HarmonicField(domain, np.subtract(lead, u.hi, out=u.hi),
+                         np.subtract(lead, u.lo, out=u.lo))
 
 
 @dataclass
@@ -219,7 +215,7 @@ def cross_exit_bound(spec: HarmonicSpec, domain: TruncatedDomain, z,
         raise ValueError("cross-exit bound needs an endpoint-branch spec")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    _check_model(spec, domain)
+    _check_cone(spec, domain)
     i = spec.wall
     j = 3 - i
     f_i = spec.cone.normal(i)

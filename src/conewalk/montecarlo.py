@@ -56,11 +56,10 @@ class MCEstimate:
     truncated_fraction: float
 
 
-def _escape_distances(law: StepLaw, cone: ConeGeometry,
-                      a: np.ndarray) -> tuple[float, float] | None:
-    """Wall distances beyond which exit probability is below ESCAPE_BOUND."""
-    th1 = wall_decay_exponent(law, a, cone.f1)
-    th2 = wall_decay_exponent(law, a, cone.f2)
+def _escape_distances(tilt: TiltPoint, cone: ConeGeometry) -> tuple[float, float] | None:
+    """Wall distances beyond which ``tilt``'s exit probability is below ESCAPE_BOUND."""
+    th1 = wall_decay_exponent(tilt, cone.f1)
+    th2 = wall_decay_exponent(tilt, cone.f2)
     if th1 <= 0.0 or th2 <= 0.0:
         return None
     budget = -math.log(ESCAPE_BOUND / 2.0)
@@ -134,6 +133,14 @@ def _walk(cum: np.ndarray, steps: np.ndarray, mass: float, z0, n: int,
     return code, count, end
 
 
+def _check_sampling(horizon: int, n: int) -> None:
+    """Refuse a horizon or a sample count below 1."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if n < 1:
+        raise ValueError("sample count must be at least 1")
+
+
 def _simulate_batch(tilt: TiltPoint, cone: ConeGeometry, z0, horizon: int,
                     rng: np.random.Generator, n: int):
     """Simulate ``n`` paths from the cone state ``z0`` of the walk tilted by
@@ -145,14 +152,11 @@ def _simulate_batch(tilt: TiltPoint, cone: ConeGeometry, z0, horizon: int,
     :func:`_escape_distances`); ``points`` holds cone exits only.  A kill
     is decided before the step, escape after the exit test.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if n < 1:
-        raise ValueError("sample count must be at least 1")
+    _check_sampling(horizon, n)
     if tilt.mass > 1.0 + 1e-10:
         raise ValueError("tilted weights exceed unit mass; sampling needs a "
                          "tilt inside the unit level set")
-    escape = _escape_distances(tilt.law, cone, tilt.a)
+    escape = _escape_distances(tilt, cone)
 
     def stop(p):
         bad1, bad2 = cone.wall_violations(p)
@@ -238,7 +242,7 @@ def overshoot_moment(spec: HarmonicSpec, z0, horizon: int, n: int,
         raise ValueError("overshoot sampling needs an endpoint-branch spec")
     law, cone, tilt = spec.law, spec.cone, spec.tilt
     f = cone.normal(wall)
-    proj_mean = float(f @ ((law.steps.T @ tilt.weights) / tilt.mass))
+    proj_mean = float(f @ (tilt.grad / tilt.mass))
     if abs(proj_mean) > 1e-10:
         raise ValueError(
             f"projected tilted walk has mean {proj_mean:.2e}; endpoint tilt "

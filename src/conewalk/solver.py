@@ -135,15 +135,11 @@ class TruncatedDomain:
     # -- bookkeeping --------------------------------------------------------
 
     def index_of(self, z) -> int:
-        key = (int(z[0]), int(z[1]))
-        if not self.has_state(key):
-            raise KeyError(f"{key} is not an interior state of this domain")
-        return int(self._grid[key[0] + self.radius, key[1] + self.radius])
-
-    def has_state(self, z) -> bool:
-        x, y = int(z[0]), int(z[1])
-        r = self.radius
-        return max(abs(x), abs(y)) <= r and bool(self._grid[x + r, y + r] >= 0)
+        x, y, r = int(z[0]), int(z[1]), self.radius
+        i = int(self._grid[x + r, y + r]) if max(abs(x), abs(y)) <= r else EXIT
+        if i < 0:
+            raise KeyError(f"{(x, y)} is not an interior state of this domain")
+        return i
 
     def successors(self, code: int):
         """``(src, atom, points)`` of the successors classed ``code``
@@ -319,21 +315,20 @@ class FarBounds:
     wall: int | None
 
     @classmethod
-    def build(cls, law: StepLaw, cone: ConeGeometry, a: np.ndarray,
-              wall: int | None, delta_grid=DEFAULT_DELTA_GRID) -> "FarBounds":
+    def build(cls, point: TiltPoint, cone: ConeGeometry, wall: int | None,
+              delta_grid=DEFAULT_DELTA_GRID) -> "FarBounds":
         if wall is None:
-            thetas = (wall_decay_exponent(law, a, cone.f1),
-                      wall_decay_exponent(law, a, cone.f2))
+            thetas = (wall_decay_exponent(point, cone.f1),
+                      wall_decay_exponent(point, cone.f2))
             return cls(thetas=thetas, eps_pairs=(), overshoot_cap=0.0, wall=None)
-        f_i = cone.normal(wall)
-        f_j = cone.normal(3 - wall)
+        a, f_i, f_j = point.a, cone.normal(wall), cone.normal(3 - wall)
 
         def pairs_at(d):
             # The far root gives the strongest certified decay: any shift
             # with mgf(a + d*f_i - g*f_j) <= 1 yields a valid bound, and
             # the exponent improves with g.
             try:
-                g = largest_level_shift(law, a + d * f_i, f_j)
+                g = largest_level_shift(point.law, a + d * f_i, f_j)
             except NoIntersectionError:
                 return []
             return [(d, g)] if g > 0.0 else []
@@ -350,7 +345,7 @@ class FarBounds:
             raise NonConvergenceError(
                 "no tangential offset reaches the level set; "
                 "cannot certify the opposite-wall truncation bound")
-        cap = float(np.abs(law.steps.astype(float) @ f_i).max())
+        cap = float(np.abs(point.law.steps.astype(float) @ f_i).max())
         return cls(thetas=None, eps_pairs=tuple(pairs),
                    overshoot_cap=cap, wall=wall)
 
@@ -441,14 +436,14 @@ def exit_expectation(domain: TruncatedDomain, a: TiltPoint, wall: int | None = N
         if value not in (None, 1, 2):
             raise ValueError(f"{name} must be None, 1 or 2, not {value!r}")
     law, cone = domain.law, domain.cone
-    av = _as_tilt(law, a).a
+    point = _as_tilt(law, a)
 
     # Guarding the payoff's exponents at the exit and far successors guards
     # the states too: from any state, stepping along an atom s with a.s > 0
     # raises a.y until it leaves the box or the cone.
     where = f" in the payoff at radius {domain.radius}"
     src, atom, pts = domain.successors(EXIT)
-    g = np.exp(_guarded(pts @ av, where))
+    g = np.exp(_guarded(pts @ point.a, where))
     if wall is not None:
         g = g * (pts.astype(float) @ cone.normal(wall))
     mask = _exit_mask(cone, pts, through, tie_wall=wall or 1)
@@ -457,8 +452,8 @@ def exit_expectation(domain: TruncatedDomain, a: TiltPoint, wall: int | None = N
 
     def far_values(pts):
         pts = pts.astype(float)
-        e_ay = np.exp(_guarded(pts @ av, where))
-        bounds = FarBounds.build(law, cone, av, wall, delta_grid)
+        e_ay = np.exp(_guarded(pts @ point.a, where))
+        bounds = FarBounds.build(point, cone, wall, delta_grid)
         return bounds.values(through, e_ay, pts @ cone.f1, pts @ cone.f2)
 
     return _bracket_field(domain, b, far_values)
@@ -474,12 +469,12 @@ def survival_probability(domain: TruncatedDomain, a: TiltPoint) -> HarmonicField
     from ``y`` is at least ``1 - sum_i exp(-theta_i f_i.y)``); the upper
     substitute is the trivial bound 1.
     """
-    law, cone = domain.law, domain.cone
-    point = _as_tilt(law, a)
+    cone = domain.cone
+    point = _as_tilt(domain.law, a)
 
     def far_values(pts):
-        th1 = wall_decay_exponent(law, point.a, cone.f1)
-        th2 = wall_decay_exponent(law, point.a, cone.f2)
+        th1 = wall_decay_exponent(point, cone.f1)
+        th2 = wall_decay_exponent(point, cone.f2)
         pts = pts.astype(float)
         lo = np.maximum(0.0, 1.0 - np.exp(-th1 * (pts @ cone.f1))
                         - np.exp(-th2 * (pts @ cone.f2)))

@@ -272,20 +272,19 @@ def largest_level_shift(law: StepLaw, base, f) -> float:
     return _exit(law, np.asarray(base, dtype=float), -np.asarray(f, dtype=float))[0]
 
 
-def wall_decay_exponent(law: StepLaw, a, f) -> float:
-    """Largest ``theta >= 0`` with ``mgf(a - theta*f) <= 1``.
+def wall_decay_exponent(point: TiltPoint, f) -> float:
+    """Largest ``theta >= 0`` with ``mgf(a - theta*f) <= 1``, ``a = point.a``.
 
     ``exp(-theta * f.z)`` is then an exact supermartingale for the walk
     tilted by ``a``, which bounds the probability of ever crossing the
     wall with inward normal ``f`` from distance ``d`` by ``exp(-theta*d)``.
-    Returns 0 when the tilted drift has no component along ``f`` (the
-    projected walk is mean-zero and no exponential bound exists).
+    Returns 0 when the tilted drift ``point.grad`` has no component along
+    ``f`` (the projected walk is mean-zero and no exponential bound exists).
     """
-    a = np.asarray(a, dtype=float)
     f = np.asarray(f, dtype=float)
-    if float(law.mgf_grad(a) @ f) <= 1e-12:
+    if float(point.grad @ f) <= 1e-12:
         return 0.0
-    return _exit(law, a, -f)[0]
+    return _exit(point.law, point.a, -f)[0]
 
 
 # -- the normal map and its inverse ----------------------------------------

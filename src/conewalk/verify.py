@@ -2,11 +2,12 @@
 
 :func:`boundary_specs` solves a model's three boundary specs once (the
 two endpoint specs and the interior spec on the sector bisector), for
-:func:`run_model_suite` and :func:`overshoot_rows` both.  The runner takes
-the five suite tilts from them, builds the R = 100 and R = 150 domains,
-and hands those same objects to the ten checks.  Each ``check_*`` returns its verdict and detail line (and, for criterion 3, its
-simulation rows); the runner names, numbers and times them in one
-place.  A check given a domain reads the law and cone from it.
+:func:`run_model_suite` and :func:`overshoot_rows`, which read the law and
+cone from them, as a check given a domain reads them from the domain.  The
+runner takes the five suite tilts from the specs, builds the R = 100 and
+R = 150 domains, and hands those same objects to the ten checks.  Each
+``check_*`` returns its verdict and detail line (and, for criterion 3, its
+simulation rows); the runner names, numbers and times them in one place.
 
 The runner evaluates criterion 7 first, so that its private R = 200
 systems are factored before the shared domains' factor caches fill, and
@@ -26,7 +27,7 @@ from .errors import DeltaTooLargeError
 from .harmonic import (HarmonicSpec, build_h, check_positive,
                        cross_exit_bound, free_harmonic_value,
                        spec_for_direction, spec_for_endpoint)
-from .montecarlo import (RngSpec, absorption_crosscheck,
+from .montecarlo import (RngSpec, _check_sampling, absorption_crosscheck,
                          local_irreducibility_scan, overshoot_moment)
 from .quadrant_reference import reference_harmonic
 from .solver import (DEFAULT_DELTA_GRID, HarmonicField, TruncatedDomain,
@@ -53,6 +54,9 @@ CRITERIA = (
 
 #: The order :func:`run_model_suite` runs the criteria in (see there).
 _EVALUATION_ORDER = (7, 1, 2, 3, 4, 5, 6, 8, 9, 10)
+
+#: Criterion 3's default Monte Carlo sample count and horizon.
+MC_SAMPLES, MC_HORIZON = 100_000, 10_000
 
 
 @dataclass
@@ -95,7 +99,7 @@ def _wall_adjacent_probe(cone: ConeGeometry, wall: int, depth: float = 25.0):
     raise RuntimeError("no wall-adjacent probe found")
 
 
-def _suite_tilts(law: StepLaw, specs: list[HarmonicSpec]) -> list[tuple[str, TiltPoint]]:
+def _suite_tilts(specs: list[HarmonicSpec]) -> list[tuple[str, TiltPoint]]:
     """Zero tilt, two strictly sub-unit tilts, two boundary-arc tilts.
 
     The boundary tilts are the first two non-zero tilts of the endpoint 1,
@@ -104,9 +108,9 @@ def _suite_tilts(law: StepLaw, specs: list[HarmonicSpec]) -> list[tuple[str, Til
     boundary = [(name, spec.tilt)
                 for name, spec in zip(("arc_end_1", "arc_end_2", "arc_mid"), specs)
                 if np.linalg.norm(spec.tilt.a) > 1e-9][:2]
-    interior = [(f"interior_{i}", tilt_point(law, t * p.a))
+    interior = [(f"interior_{i}", tilt_point(p.law, t * p.a))
                 for i, (t, (_, p)) in enumerate(zip((0.5, 0.4), boundary), start=1)]
-    return [("zero", tilt_point(law, (0.0, 0.0)))] + interior + boundary
+    return [("zero", tilt_point(specs[0].law, (0.0, 0.0)))] + interior + boundary
 
 
 # -- individual criteria -----------------------------------------------------
@@ -200,13 +204,9 @@ def check_positivity_refinement(d_small: TruncatedDomain,
     return ok, "; ".join(details)
 
 
-def _is_quadrant(cone: ConeGeometry) -> bool:
-    return {cone.normal_ints(1), cone.normal_ints(2)} == {(1, 0), (0, 1)}
-
-
 def check_quadrant_reference(specs):
     law, cone = specs[0].law, specs[0].cone
-    if not _is_quadrant(cone):
+    if {cone.normal_ints(1), cone.normal_ints(2)} != {(1, 0), (0, 1)}:
         return True, "skipped: cone is not the positive quadrant"
     domain = build_domain(cone, law, 24)
     atoms = {k: float(v) for k, v in law.atoms.items()}
@@ -315,18 +315,17 @@ def check_local_irreducibility(law: StepLaw, cone: ConeGeometry):
 # -- the full per-model suite -------------------------------------------------
 
 
-def boundary_specs(cfg) -> list[HarmonicSpec]:
-    """The endpoint 1, endpoint 2 and sector-bisector specs of one parsed
-    model config, in that order."""
-    law, cone = cfg.law, cfg.cone
+def boundary_specs(law: StepLaw, cone: ConeGeometry) -> list[HarmonicSpec]:
+    """The endpoint 1, endpoint 2 and sector-bisector specs of the walk with
+    step law ``law`` killed outside ``cone``, in that order."""
     return [spec_for_endpoint(law, cone, 1), spec_for_endpoint(law, cone, 2),
             spec_for_direction(law, cone, _mid_direction(cone))]
 
 
-def run_model_suite(cfg, specs: list[HarmonicSpec], mc_samples: int = 100_000,
-                    horizon: int = 10_000) -> list[CriterionResult]:
-    """Run all ten checks for one parsed model config and return their
-    results in criterion order.
+def run_model_suite(specs: list[HarmonicSpec], seed: int, mc_samples: int = MC_SAMPLES,
+                    horizon: int = MC_HORIZON) -> list[CriterionResult]:
+    """Run all ten checks, seeded with ``seed``, for the model of the
+    :func:`boundary_specs` ``specs`` and return their results in criterion order.
 
     The checks run in :data:`_EVALUATION_ORDER`, each timed on its own.
     Criterion 7 goes first: a domain keeps every factor it makes for its
@@ -340,12 +339,9 @@ def run_model_suite(cfg, specs: list[HarmonicSpec], mc_samples: int = 100_000,
     stream, so the order changes no result.  A horizon or sample count
     below 1 is refused before any check runs.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if mc_samples < 1:
-        raise ValueError("sample count must be at least 1")
-    law, cone, seed = cfg.law, cfg.cone, cfg.seed
-    tilts = _suite_tilts(law, specs)
+    _check_sampling(horizon, mc_samples)
+    law, cone = specs[0].law, specs[0].cone
+    tilts = _suite_tilts(specs)
     d100 = build_domain(cone, law, 100)
     d150 = build_domain(cone, law, 150)
     inputs = ((law,), (law, seed), (d100, tilts, seed, mc_samples, horizon),
@@ -361,16 +357,17 @@ def run_model_suite(cfg, specs: list[HarmonicSpec], mc_samples: int = 100_000,
     return [results[number] for number in sorted(results)]
 
 
-def overshoot_rows(cfg, endpoint_specs: list[HarmonicSpec]) -> list[tuple]:
-    """Overshoot-moment estimate rows at both endpoint specs' tilts, from a
-    state next to each wall; empty for a cone without rational wall normals."""
-    if not cfg.cone.is_exact:
+def overshoot_rows(endpoint_specs: list[HarmonicSpec], seed: int) -> list[tuple]:
+    """Overshoot-moment estimate rows at both endpoint specs' tilts, seeded with
+    ``seed``, from a state next to each wall; empty for a cone without rational
+    wall normals."""
+    if not endpoint_specs[0].cone.is_exact:
         return []
     rows = []
     for spec in endpoint_specs:
-        probe = _wall_adjacent_probe(cfg.cone, spec.wall, depth=8.0)
+        probe = _wall_adjacent_probe(spec.cone, spec.wall, depth=8.0)
         est = overshoot_moment(spec, probe, horizon=200_000, n=500,
-                               rng=RngSpec(cfg.seed, 90 + spec.wall))
+                               rng=RngSpec(seed, 90 + spec.wall))
         rows.append(("overshoot_moment",
                      f"wall={spec.wall} z={probe} horizon=200000",
                      est.mean, est.stderr, est.n, est.truncated_fraction))

@@ -29,8 +29,9 @@ def suite_for(name: str):
     if name not in _cache:
         cfg = load_config(name)
         _cache[name] = {r.number: r for r in
-                        run_model_suite(cfg, boundary_specs(cfg),
-                                        mc_samples=100_000, horizon=10_000)}
+                        run_model_suite(boundary_specs(cfg.law, cfg.cone),
+                                        cfg.seed, mc_samples=100_000,
+                                        horizon=10_000)}
     return _cache[name]
 
 

@@ -162,6 +162,25 @@ atom 0 -1 0.25
         assert capsys.readouterr().err.splitlines() == [
             f"invalid input: probe {chunk!r} must be 'x,y' with integer x and y"]
 
+    @pytest.mark.parametrize("argv,message", [
+        (["martin", "--radii=a"],
+         "--radii 'a' must be comma-separated reals 'r1,r2,...'"),
+        (["martin", "--radii=1,,2"],
+         "--radii '1,,2' must be comma-separated reals 'r1,r2,...'"),
+        (["harmonic", "--q=a,b"],
+         "--q 'a,b' must be 'qx,qy' with real qx and qy"),
+        (["martin", "--q=1"], "--q '1' must be 'qx,qy' with real qx and qy"),
+    ], ids=["radii-not-real", "radii-empty-field", "q-not-real",
+            "martin-q-one-field"])
+    def test_malformed_reals_name_their_option(self, tmp_path, capsys, argv,
+                                               message):
+        path = write_config(tmp_path, GOOD_CONFIG)
+        code = main(["--config", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet", *argv])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid input: {message}"]
+
     @pytest.mark.parametrize("flag,message", [
         ("--samples", "sample count must be at least 1"),
         ("--horizon", "horizon must be at least 1")])

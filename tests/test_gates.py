@@ -29,8 +29,8 @@ def nan_fields(monkeypatch):
 def test_nan_fields_fail_every_gate_that_reads_them(nan_fields):
     cfg = load_config("quadrant")
     cfg.seed = 1
-    specs = boundary_specs(cfg)
-    tilts = verify._suite_tilts(cfg.law, specs)
+    specs = boundary_specs(cfg.law, cfg.cone)
+    tilts = verify._suite_tilts(specs)
     # The suite's R = 100 and 150 at a fifth of their size.
     small, large = (build_domain(cfg.cone, cfg.law, r) for r in (20, 30))
     results = {

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conewalk import (HarmonicField, build_domain, build_h, check_positive,
+from conewalk import (HarmonicField, build_cone, build_cone_from_angles,
+                      build_domain, build_h, check_positive,
                       classify_spec, cross_exit_bound, exit_expectation,
                       free_harmonic_value, harmonicity_residual,
                       point_with_normal, spec_for_direction,
@@ -50,6 +51,24 @@ class TestSpecClassification:
         assert spec.law is law5
         with pytest.raises(ValueError, match="different step law"):
             build_h(spec, build_domain(quadrant_cone, law4, 10))
+
+    def test_domain_of_a_nearby_cone_rejected(self, law4):
+        # Normals 1.7e-6 apart, within np.allclose's default tolerance; a
+        # field on the nearby cone would pair the spec with another walk.
+        spec = spec_for_endpoint(law4, build_cone_from_angles(10.0, 100.0), 1)
+        d = build_domain(build_cone_from_angles(10.0001, 100.0), law4, 10)
+        with pytest.raises(ValueError, match="different cone"):
+            build_h(spec, d)
+        with pytest.raises(ValueError, match="different cone"):
+            cross_exit_bound(spec, d, tuple(d.states[0]), 0.2)
+
+    def test_equal_normals_of_another_spelling_accepted(self, law4):
+        spec = spec_for_endpoint(law4, build_cone((0, 2), (3, 0)), 1)
+        d = build_domain(build_cone((0, 1), (1, 0)), law4, 10)
+        assert d.cone is not spec.cone
+        h = build_h(spec, d)
+        assert np.array_equal(h.lo, build_h(spec, build_domain(
+            spec.cone, law4, 10)).lo)
 
 
 class TestBuildH:

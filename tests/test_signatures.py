@@ -4,7 +4,9 @@ On a truncated domain the law and cone come from the domain, a
 :class:`TiltPoint` carries the law it was made for, and for a solved
 boundary tilt the law, cone and wall come from its :class:`HarmonicSpec`;
 no public function may take them a second time beside any of these, nor
-name a wall of a law and cone instead of taking the endpoint spec.
+name a wall of a law and cone instead of taking the endpoint spec.  The
+verification suite takes its model from the specs, not from the command
+line's parsed config.
 """
 
 import dataclasses
@@ -85,10 +87,17 @@ def test_no_law_beside_a_tilt_point(mod):
     solver.exit_expectation, solver.survival_probability,
     solver.TruncatedDomain.solve, montecarlo.absorption_crosscheck,
     harmonic.classify_spec, tiltgeom.normal_direction,
-    tiltgeom.epsilon_for_delta], ids=lambda fn: fn.__qualname__)
+    tiltgeom.epsilon_for_delta, tiltgeom.wall_decay_exponent,
+    solver.FarBounds.build], ids=lambda fn: fn.__qualname__)
 def test_a_tilt_enters_as_a_point(fn):
     params = inspect.signature(fn, eval_str=True).parameters.values()
     assert any(_takes(p, TiltPoint) for p in params)
+
+
+def test_verify_takes_no_config():
+    takes = [name for name, fn in _public_functions(verify)
+             if "cfg" in inspect.signature(fn).parameters]
+    assert not takes
 
 
 def test_spec_reads_its_law_from_its_tilt(law5, quadrant_cone):
@@ -117,4 +126,4 @@ def test_public_parameter_count():
     # Every public function and method of the nine modules, self included:
     # a change to the public API edits this number in the same diff.
     assert sum(len(inspect.signature(fn).parameters)
-               for mod in MODULES for _, fn in _public_functions(mod)) == 169
+               for mod in MODULES for _, fn in _public_functions(mod)) == 166

@@ -317,15 +317,28 @@ def comparison_excess(domain, b, far_values, tilt, a) -> float:
     return worst
 
 
-def capture(domain, b, far_values, tilt=None):
-    """Stands in for ``_bracket_field``: the system, unsolved."""
-    return domain, b, far_values, tilt
+def capture(systems):
+    """Stands in for ``_bracket_field``: appends the system, unsolved, to
+    ``systems`` and returns a zero field, which survival clips."""
+    def bracket_field(domain, b, far_values, tilt=None):
+        systems.append((domain, b, far_values, tilt))
+        return HarmonicField(domain, np.zeros(domain.n_states),
+                             np.zeros(domain.n_states))
+    return bracket_field
 
 
 class TestComparisonFunctions:
     """The far-frontier comparison pair of every field is a sub- and a
     supersolution of its truncated system (ROADMAP item 7's first
-    property); certified sweeps started from it rest on this."""
+    property); certified sweeps started from it rest on this.
+
+    Survival's pair at tilt ``a``: its lower function ``max(0, 1 - s1 -
+    s2)``, ``s_i = exp(-theta_i f_i.y)``, is ``1 - e^{-a.y}`` times the
+    all-exits upper cap.  The Doob transform ``I - P_a = E^{-1}(I - P)E``
+    turns that complement of the exit supersolution into a subsolution of
+    the tilted system, and the max with 0 keeps it one, as ``b >= 0``.  Its
+    upper function 1 is a supersolution, as ``b = max(0, 1 - mgf(a))``.
+    """
 
     @settings(max_examples=25)
     @given(small_models(max_radius=40))
@@ -347,10 +360,15 @@ class TestComparisonFunctions:
                  for through in (None, 1, 2)]
         calls.append((np.zeros(2), functools.partial(
             green_column, d, d.states[d.n_states // 2])))
+        # Survival at each drawn tilt, and at sub-unit tilts including 0.
+        sub_unit = [tilt_point(law, t * mid.a) for t in (0.0, 0.5)]
+        calls += [(p.a, functools.partial(survival_probability, d, p))
+                  for p in [p for p, _ in payoffs] + sub_unit]
         for a, field in calls:
-            with mock.patch.object(solver, "_bracket_field", capture):
-                system = field()
-            assert comparison_excess(*system, a) <= 0.0, field
+            systems = []
+            with mock.patch.object(solver, "_bracket_field", capture(systems)):
+                field()
+            assert comparison_excess(*systems[0], a) <= 0.0, field
 
 
 class TestSingleState:
@@ -415,8 +433,8 @@ class TestExitExpectation:
         real = solver.wall_decay_exponent
         monkeypatch.setattr(solver, "wall_decay_exponent",
                             lambda *args: calls.append(args) or real(*args))
-        a = spec_for_endpoint(law5, quadrant_cone, wall or 1).tilt.a
-        bounds = solver.FarBounds.build(law5, quadrant_cone, a, wall)
+        point = spec_for_endpoint(law5, quadrant_cone, wall or 1).tilt
+        bounds = solver.FarBounds.build(point, quadrant_cone, wall)
         assert len(calls) == solves
         assert (bounds.thetas is None) == (wall is not None)
 

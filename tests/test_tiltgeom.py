@@ -277,17 +277,19 @@ class TestEpsilonForDelta:
 class TestDecayExponents:
     def test_zero_tilt_exponent_closed_form(self, law4, quadrant_cone):
         # mgf(-t, 0) = 1 solves 0.1 x^2 - 0.5 x + 0.4 = 0 with x = e^t: x = 4.
-        th = wall_decay_exponent(law4, (0.0, 0.0), quadrant_cone.f1)
+        zero = tilt_point(law4, (0.0, 0.0))
+        th = wall_decay_exponent(zero, quadrant_cone.f1)
         assert th == pytest.approx(math.log(4.0), abs=1e-10)
 
     def test_endpoint_projection_gives_zero(self, law4, quadrant_cone):
         p = point_with_normal(law4, quadrant_cone.c1)
-        assert wall_decay_exponent(law4, p.a, quadrant_cone.f1) == 0.0
-        assert wall_decay_exponent(law4, p.a, quadrant_cone.f2) > 0.0
+        assert wall_decay_exponent(p, quadrant_cone.f1) == 0.0
+        assert wall_decay_exponent(p, quadrant_cone.f2) > 0.0
 
     def test_exponent_lands_on_level_set(self, law4, law5, quadrant_cone):
         for law in (law4, law5):
-            th = wall_decay_exponent(law, (0.0, 0.0), quadrant_cone.f2)
+            zero = tilt_point(law, (0.0, 0.0))
+            th = wall_decay_exponent(zero, quadrant_cone.f2)
             assert th > 0.0
             assert abs(law.mgf(-th * quadrant_cone.f2) - 1.0) <= 1e-10
 

@@ -123,8 +123,8 @@ def test_suite_runner_shares_its_inputs(tracer, monkeypatch):
     calls = _stub_checks(tracer, monkeypatch)
     solved = _count_normal_solves(monkeypatch)
     cfg = load_config("quadrant")
-    specs = verify.boundary_specs(cfg)
-    results = verify.run_model_suite(cfg, specs)
+    specs = verify.boundary_specs(cfg.law, cfg.cone)
+    results = verify.run_model_suite(specs, cfg.seed)
 
     # Criterion 7 runs first; the results still come back in order.
     assert [name for name, _ in calls] == \
@@ -165,7 +165,7 @@ def test_suite_factors_criterion_7_before_the_shared_caches_fill(
     # the factorisations, and reaches the results, of the checks run in
     # criterion order.
     cfg = load_config("quadrant")
-    specs = verify.boundary_specs(cfg)
+    specs = verify.boundary_specs(cfg.law, cfg.cone)
     built, factored, at_200 = [], [], []
     build, factor = verify.build_domain, solver.spla.splu
 
@@ -188,7 +188,7 @@ def test_suite_factors_criterion_7_before_the_shared_caches_fill(
         built.clear()
         factored.clear()
         at_200.clear()
-        results = verify.run_model_suite(cfg, specs, mc_samples=2000,
+        results = verify.run_model_suite(specs, cfg.seed, mc_samples=2000,
                                          horizon=2000)
         assert [d.radius for d in built[:2]] == [100, 150]
         return ([(r.number, r.passed, r.detail, r.mc_rows) for r in results],
