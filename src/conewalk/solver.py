@@ -178,9 +178,7 @@ class TruncatedDomain:
     def _system(self, tilt: TiltPoint | None):
         """``(A, lu)`` for ``A = I - P_a`` up to ``DIRECT_LIMIT`` states;
         above it ``(None, op)``, the sweep operator; ``A`` is not formed."""
-        if tilt is not None and tilt.law != self.law:
-            raise ValueError("tilt point was made for a different step law")
-        key = self._tilt_key(tilt)
+        key = self._tilt_key(_same_law(self.law, tilt))
         if key not in self._lu_cache:
             w = self.law.probs if tilt is None else tilt.weights
             steps = list(map(tuple, self.law.steps.tolist()))
@@ -393,10 +391,14 @@ def _exit_mask(cone: ConeGeometry, pts: np.ndarray, through: int | None,
     return own if through == tie_wall else own & ~other
 
 
-def _as_tilt(law: StepLaw, point: TiltPoint) -> TiltPoint:
-    if point.law != law:  # its cached values are another law's
+def _same_law(law: StepLaw, tilt: TiltPoint | None) -> TiltPoint | None:
+    if tilt is not None and tilt.law != law:  # its cached values are another law's
         raise ValueError("tilt point was made for a different step law")
-    if not point.in_closed_set:
+    return tilt
+
+
+def _as_tilt(law: StepLaw, point: TiltPoint) -> TiltPoint:
+    if not _same_law(law, point).in_closed_set:
         raise ValueError(
             f"tilt lies outside the unit level set (mgf = {point.value!r})")
     return point

@@ -306,10 +306,10 @@ def point_with_normal(law: StepLaw, q) -> TiltPoint:
     """Boundary point of the level set whose outward normal is ``q``.
 
     Solves ``mgf_grad(a) = lam * q``, ``mgf(a) = 1``, ``lam > 0`` by damped
-    Newton iteration from ``a = 0``, at most ``NEWTON_STEPS`` steps; a
-    monotone angular bisection around the interior minimiser serves as
-    fallback.  Equivalently this is the maximiser of ``q . a`` over the
-    level set.  ``q`` must be finite with a non-zero, finite norm.
+    Newton iteration from ``a = 0``, at most ``NEWTON_STEPS`` steps; the
+    fallback bisects the polar angle on the half-turn around ``q`` that
+    convexity brackets.  Equivalently this is the maximiser of ``q . a``
+    over the level set.  ``q`` must be finite with a non-zero, finite norm.
     """
     q = _unit(q)
     # Seed Newton at the boundary crossing in direction q from the interior
@@ -359,9 +359,7 @@ def point_with_normal(law: StepLaw, q) -> TiltPoint:
             F = None
             break
     ok = (F is not None and np.linalg.norm(F) < 1e-11 and x[2] > 0.0)
-    if not ok:
-        x = _point_with_normal_bisect(law, q)
-    point = tilt_point(law, x[:2])
+    point = tilt_point(law, x[:2] if ok else _point_with_normal_bisect(law, q))
     qq = normal_direction(point)
     angle_err = _angle_between(qq, q)
     if abs(point.value - 1.0) > LEVEL_TOL or angle_err > ANGLE_TOL:
@@ -372,43 +370,23 @@ def point_with_normal(law: StepLaw, q) -> TiltPoint:
 
 
 def _point_with_normal_bisect(law: StepLaw, q: np.ndarray) -> np.ndarray:
-    """Fallback: monotone bisection of the boundary angle parametrisation."""
-    target = math.atan2(q[1], q[0])
+    """Fallback: bisection of the polar angle ``psi`` around the interior
+    minimiser ``m``.  ``m`` lies strictly inside the convex set, so the
+    outward normal at ``m + r u(psi)`` makes an acute angle with ``u(psi)``:
+    normal ``q`` is met within a right angle of ``theta``, the angle of
+    ``q``, and there the normal's angle less ``theta`` stays in ``(-pi, pi)``
+    and rises monotonically through 0."""
+    theta = math.atan2(q[1], q[0])
 
     def boundary_at(psi: float) -> np.ndarray:
         return _boundary_point(law, np.array([math.cos(psi), math.sin(psi)]))
 
-    def wrapped_diff(psi: float) -> float:
+    def past(psi: float) -> bool:
         g = law.mgf_grad(boundary_at(psi))
-        d = math.atan2(g[1], g[0]) - target
-        while d <= -math.pi:
-            d += 2.0 * math.pi
-        while d > math.pi:
-            d -= 2.0 * math.pi
-        return d
+        return math.remainder(math.atan2(g[1], g[0]) - theta, 2.0 * math.pi) > 0.0
 
-    n = 128
-    psis = [2.0 * math.pi * k / n for k in range(n + 1)]
-    diffs = [wrapped_diff(p) for p in psis]
-    lo = hi = None
-    for i in range(n):
-        d0, d1 = diffs[i], diffs[i + 1]
-        if d0 == 0.0:
-            lo = hi = psis[i]
-            break
-        # A true root crossing has a small total swing; the branch-cut
-        # crossing swings by about 2*pi and must be skipped.
-        if d0 * d1 < 0.0 and abs(d0 - d1) < math.pi:
-            lo, hi = psis[i], psis[i + 1]
-            break
-    if lo is None:
-        raise NonConvergenceError("angular bisection found no bracket")
-    if lo != hi:
-        lo_positive = d0 > 0.0
-        lo, hi = _bisect(lambda psi: (wrapped_diff(psi) > 0.0) != lo_positive, lo, hi)
-    a = boundary_at(0.5 * (lo + hi))
-    lam = float(np.linalg.norm(law.mgf_grad(a)))
-    return np.array([a[0], a[1], lam])
+    lo, hi = _bisect(past, theta - 0.5 * math.pi, theta + 0.5 * math.pi)
+    return boundary_at(0.5 * (lo + hi))
 
 
 def boundary_polyline(law: StepLaw, n: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from conewalk.cli import _default_probes
 from conewalk.solver import (EXIT, FAR, HarmonicField, ResidualReport,
                              _exit_mask, _free_green_bound, _gauss_seidel,
                              _SweepOperator)
+from conewalk.verify import boundary_specs
 
 
 def _at(field, z) -> tuple[float, float]:
@@ -645,6 +646,15 @@ class TestResidual:
         rep = harmonicity_residual(h)
         assert not rep.relative_excess <= 1e-8
         assert rep.worst_state == (3, 3)
+
+    def test_no_eligible_state(self, law4, cone45):
+        # The one state (2,1) steps along (1,0) onto the far frontier, so
+        # there is nothing to evaluate.
+        d = build_domain(cone45, law4, 2)
+        assert d.states.tolist() == [[2, 1]]
+        for spec in boundary_specs(law4, cone45):
+            assert harmonicity_residual(build_h(spec, d)) == ResidualReport(
+                0, 0.0, 0.0, None)
 
     def test_matches_hand_rolled_loop(self, law4, quadrant_cone):
         d = build_domain(quadrant_cone, law4, 6)
