@@ -306,14 +306,15 @@ def point_with_normal(law: StepLaw, q) -> TiltPoint:
     """Boundary point of the level set whose outward normal is ``q``.
 
     Solves ``mgf_grad(a) = lam * q``, ``mgf(a) = 1``, ``lam > 0`` by damped
-    Newton iteration from ``a = 0``, at most ``NEWTON_STEPS`` steps; the
-    fallback bisects the polar angle on the half-turn around ``q`` that
+    Newton iteration from the boundary point in direction ``q`` from the
+    interior minimiser, at most ``NEWTON_STEPS`` steps.  Only if Newton's
+    last iterate misses (a stall, or the antipodal root ``lam < 0``) does the
+    fallback bisect the polar angle on the half-turn around ``q`` that
     convexity brackets.  Equivalently this is the maximiser of ``q . a``
     over the level set.  ``q`` must be finite with a non-zero, finite norm.
     """
     q = _unit(q)
-    # Seed Newton at the boundary crossing in direction q from the interior
-    # minimiser; for a convex oval its normal is already close to q.
+    # For a convex oval the seed's normal is already close to q.
     a0 = _boundary_point(law, q)
     x = np.array([a0[0], a0[1], float(np.linalg.norm(law.mgf_grad(a0)))])
 
@@ -327,8 +328,6 @@ def point_with_normal(law: StepLaw, q) -> TiltPoint:
 
     F = residual(x)
     for _ in range(NEWTON_STEPS):
-        if F is None:
-            break
         norm_f = float(np.linalg.norm(F))
         if norm_f < 1e-15:
             break
@@ -343,7 +342,6 @@ def point_with_normal(law: StepLaw, q) -> TiltPoint:
         try:
             step = np.linalg.solve(J, F)
         except np.linalg.LinAlgError:
-            F = None
             break
         t = 1.0
         for _ in range(50):
@@ -356,9 +354,8 @@ def point_with_normal(law: StepLaw, q) -> TiltPoint:
                 break
             t *= 0.5
         else:
-            F = None
             break
-    ok = (F is not None and np.linalg.norm(F) < 1e-11 and x[2] > 0.0)
+    ok = np.linalg.norm(F) < 1e-11 and x[2] > 0.0
     point = tilt_point(law, x[:2] if ok else _point_with_normal_bisect(law, q))
     qq = normal_direction(point)
     angle_err = _angle_between(qq, q)

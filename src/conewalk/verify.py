@@ -96,7 +96,7 @@ def _wall_adjacent_probe(cone: ConeGeometry, wall: int, depth: float = 25.0):
         cand = np.rint(base + k * f).astype(int)
         if cone.contains(cand):
             return int(cand[0]), int(cand[1])
-    raise RuntimeError("no wall-adjacent probe found")
+    raise ValueError(f"cone too thin for a probe by wall {wall} at depth {depth:g}")
 
 
 def _suite_tilts(specs: list[HarmonicSpec]) -> list[tuple[str, TiltPoint]]:

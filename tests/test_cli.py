@@ -239,6 +239,22 @@ atom 0 -1 0.25
             "exceeds the overflow guard 700.0 in the payoff at radius 120")
         assert not out.exists()
 
+    @pytest.mark.parametrize("cone", ["cone_dirs 10 1 9 1",
+                                      "cone_angles 10 10.5"])
+    def test_cone_too_thin_for_a_probe_exits_3_with_one_line(
+            self, tmp_path, capsys, cone):
+        # Criterion 7 finds no lattice point beside wall 1 at depth 25; it
+        # runs first, so that one line is all verify prints.
+        path = write_config(tmp_path,
+                            GOOD_CONFIG.replace("cone_dirs 0 1 1 0", cone))
+        code = main(["--config", str(path), "--samples", "200",
+                     "--horizon", "100", "verify"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "invalid input: cone too thin for a probe by wall 1 at depth 25"]
+
     @pytest.mark.parametrize("old,new,field", [
         ("atom 0 -1 0.1", "atom 1 0 0.1", "atom"),
         ("atom 0 -1 0.1", "atom 0 -1 0\natom 0 -2 0.1", "atom"),

@@ -20,7 +20,7 @@ from conewalk.cli import _default_probes
 from conewalk.solver import (EXIT, FAR, HarmonicField, ResidualReport,
                              _exit_mask, _free_green_bound, _gauss_seidel,
                              _SweepOperator)
-from conewalk.verify import boundary_specs
+from conewalk.verify import boundary_specs, check_bracket_invariants
 
 
 def _at(field, z) -> tuple[float, float]:
@@ -370,6 +370,27 @@ class TestComparisonFunctions:
             with mock.patch.object(solver, "_bracket_field", capture(systems)):
                 field()
             assert comparison_excess(*systems[0], a) <= 0.0, field
+
+
+class TestBracketInvariants:
+    """Criterion 9 on random models, at its own bounds on the
+    ``exp(-a.z)``-scaled values: brackets nest from R to 2R, survival
+    complements the all-exits bracket, and the two exit buckets add up."""
+
+    @settings(max_examples=25)
+    @given(small_models(max_radius=30))
+    def test_nesting_complement_and_additivity(self, model):
+        law, cone, radius, _ = model
+        assume(steplaw._failed_hypothesis(law) is None)
+        d_small = _small_domain(law, cone, radius)
+        d_large = _small_domain(law, cone, 2 * radius)
+        mid = point_with_normal(law, cone.c1 + cone.c2)
+        tilts = [("zero", tilt_point(law, (0.0, 0.0))),
+                 ("half_bisector", tilt_point(law, 0.5 * mid.a)),
+                 ("bisector", mid),
+                 ("endpoint_1", spec_for_endpoint(law, cone, 1).tilt)]
+        ok, details = check_bracket_invariants(d_small, d_large, tilts)
+        assert ok, details
 
 
 class TestSingleState:

@@ -109,17 +109,52 @@ class TestNormalMap:
             p = point_with_normal(law, (0.9238795325112867, 0.3826834323650898))
         assert abs(p.value - 1.0) <= 1e-12
 
-    def test_newton_failure_falls_back_once(self, monkeypatch):
-        # Newton fails at this law and normal, so the point is the
-        # fallback's, and the level and angle check still guards it.
-        law = StepLaw({(-2, 1): 2 / 22, (2, -2): 5 / 22, (2, 0): 6 / 22,
-                       (2, 2): 9 / 22})
+    # At q = (-1, 0) the line search of this law stalls with the residual
+    # at rounding level (1.2e-15), on an iterate Newton accepts.
+    STALL_LAW = {(-2, 1): 2 / 22, (2, -2): 5 / 22, (2, 0): 6 / 22,
+                 (2, 2): 9 / 22}
+
+    @staticmethod
+    def _spy_fallback(monkeypatch) -> mock.Mock:
         spy = mock.Mock(wraps=_point_with_normal_bisect)
         monkeypatch.setattr(tiltgeom, "_point_with_normal_bisect", spy)
+        return spy
+
+    def test_converged_iterate_kept_when_the_line_search_stalls(
+            self, monkeypatch):
+        spy = self._spy_fallback(monkeypatch)
         q = np.array([-1.0, 0.0])
+        p = point_with_normal(StepLaw(self.STALL_LAW), q)
+        assert spy.call_count == 0
+        assert p.a == pytest.approx([-2.178605806744339, -2.368374558604663],
+                                    abs=1e-12)
+        assert abs(p.value - 1.0) <= LEVEL_TOL
+        assert _angle_between(normal_direction(p), q) <= ANGLE_TOL
+
+    def test_newton_failure_falls_back_once(self, monkeypatch):
+        # With no Newton step the seed misses, so the point is the
+        # fallback's, and the level and angle check still guards it.
+        monkeypatch.setattr(tiltgeom, "NEWTON_STEPS", 0)
+        spy = self._spy_fallback(monkeypatch)
+        q = np.array([-1.0, 0.0])
+        p = point_with_normal(StepLaw(self.STALL_LAW), q)
+        spy.assert_called_once()
+        assert p.a.tolist() == [-2.178605806744339, -2.368374558604663]
+        assert abs(p.value - 1.0) <= LEVEL_TOL
+        assert _angle_between(normal_direction(p), q) <= ANGLE_TOL
+
+    def test_antipodal_root_falls_back_once(self, monkeypatch):
+        # Newton converges (|F| = 6.9e-17) to lam = -2.456, the point with
+        # normal -q; lam > 0 rejects it and the fallback finds normal q.
+        weights = {(4, 3): 6, (3, -5): 73, (4, -2): 50, (-3, -2): 26,
+                   (-1, -1): 45}
+        law = StepLaw({z: w / 200 for z, w in weights.items()})
+        spy = self._spy_fallback(monkeypatch)
+        t = 2 * math.pi * 9.25 / 36
+        q = np.array([math.cos(t), math.sin(t)])
         p = point_with_normal(law, q)
         spy.assert_called_once()
-        assert p.a == pytest.approx([-2.178605806744339, -2.368374558604663],
+        assert p.a == pytest.approx([-9.742450601876515, 13.874883927885929],
                                     abs=1e-12)
         assert abs(p.value - 1.0) <= LEVEL_TOL
         assert _angle_between(normal_direction(p), q) <= ANGLE_TOL
