@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import ConeGeometry, _angle_between
-from .solver import (HarmonicField, TruncatedDomain, DEFAULT_DELTA_GRID,
-                     exit_expectation)
+from .solver import HarmonicField, TruncatedDomain, exit_expectation
 from .steplaw import StepLaw
 from .tiltgeom import (TiltPoint, epsilon_for_delta, normal_direction,
                        point_with_normal)
@@ -209,7 +208,8 @@ def cross_exit_bound(spec: HarmonicSpec, domain: TruncatedDomain, z,
 
     where ``eps`` makes ``a + delta*f_i - eps*f_j`` land back on the unit
     level set.  The exponent is negative, and the bound decays along rays,
-    wherever ``(delta*f_i - eps*f_j).z < 0``.
+    wherever ``(delta*f_i - eps*f_j).z < 0``.  ``lo`` and ``hi`` are
+    :func:`exit_expectation`'s through-wall field times ``exp(-a.z)``.
     """
     if spec.wall is None:
         raise ValueError("cross-exit bound needs an endpoint-branch spec")
@@ -221,8 +221,7 @@ def cross_exit_bound(spec: HarmonicSpec, domain: TruncatedDomain, z,
     f_i = spec.cone.normal(i)
     f_j = spec.cone.normal(j)
     eps = epsilon_for_delta(spec.tilt, delta, f_i, f_j)
-    u = exit_expectation(domain, spec.tilt, wall=i, through=j,
-                         delta_grid=DEFAULT_DELTA_GRID + (delta,))
+    u = exit_expectation(domain, spec.tilt, wall=i, through=j)
     k = domain.index_of(z)
     zv = np.asarray(z, dtype=float)
     scale = math.exp(-float(spec.tilt.a @ zv))

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import ConeGeometry
-from .solver import TruncatedDomain, exit_expectation, green_column
+from .solver import FarBounds, TruncatedDomain, exit_expectation, green_column
 from .steplaw import LatticePoint, StepLaw, _reachable
-from .tiltgeom import TiltPoint, _unit, wall_decay_exponent
+from .tiltgeom import TiltPoint, _unit
 from .harmonic import HarmonicSpec, build_h, spec_for_direction
 
 #: Paths are declared safe from ever exiting once both wall distances give
@@ -58,8 +58,7 @@ class MCEstimate:
 
 def _escape_distances(tilt: TiltPoint, cone: ConeGeometry) -> tuple[float, float] | None:
     """Wall distances beyond which ``tilt``'s exit probability is below ESCAPE_BOUND."""
-    th1 = wall_decay_exponent(tilt, cone.f1)
-    th2 = wall_decay_exponent(tilt, cone.f2)
+    th1, th2 = FarBounds.build(tilt, cone, None).thetas
     if th1 <= 0.0 or th2 <= 0.0:
         return None
     budget = -math.log(ESCAPE_BOUND / 2.0)

@@ -6,8 +6,8 @@ written with explicit coordinates, the truncation caps are re-solved with
 scalar bisections, and the linear system is assembled state by state and
 solved densely.  It deliberately shares no code with the general solver
 so the two can check each other; only the bracket *semantics* (the cap
-formulas, the tangential-offset grid and its halving below the grid) are
-common, since they define the quantity being computed.
+formulas, the tangential-offset grid, imported as ``solver.DELTA_GRID``,
+and its halving below the grid) are common, since they define the quantity.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .errors import NonConvergenceError
+from .solver import DELTA_GRID
 
 Atoms = dict[tuple[int, int], float]
 
@@ -82,8 +83,8 @@ def _largest_return_shift(atoms: Atoms, b1: float, b2: float,
 
 
 def reference_harmonic(atoms: Atoms, a: tuple[float, float], wall: int | None,
-                       radius: int, delta_grid) -> dict[tuple[int, int],
-                                                        tuple[float, float]]:
+                       radius: int) -> dict[tuple[int, int],
+                                            tuple[float, float]]:
     """Bracketed harmonic values on the quadrant, fully hand-coded.
 
     ``wall=None`` gives ``exp(a.z) - E[exp(a.S) at exit]``; ``wall=1``
@@ -109,7 +110,7 @@ def reference_harmonic(atoms: Atoms, a: tuple[float, float], wall: int | None,
         fj = (0.0, 1.0) if wall == 1 else (1.0, 0.0)
         # A level set too thin for the whole grid is tried at halved
         # offsets below it while they still move a.
-        offsets = sorted({float(x) for x in delta_grid}, reverse=True)
+        offsets = list(DELTA_GRID)
         for d in offsets:
             try:
                 eps_pairs.append((d, _largest_return_shift(

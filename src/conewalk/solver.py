@@ -44,8 +44,8 @@ from .steplaw import LatticePoint, StepLaw, _guarded
 from .tiltgeom import (TiltPoint, boundary_polyline, interior_minimum,
                        largest_level_shift, wall_decay_exponent)
 
-#: Default tangential offsets for the opposite-wall truncation bound.
-DEFAULT_DELTA_GRID = (0.5, 0.25, 0.1, 0.05)
+#: Tangential offsets for the opposite-wall truncation bound, largest first.
+DELTA_GRID = (0.5, 0.25, 0.1, 0.05)
 
 #: The Green far bound's exponents: the mgf's interior minimiser ``m`` and
 #: ``m + s (p - m)`` for each shift ``s`` and each of the boundary points ``p``.
@@ -313,8 +313,8 @@ class FarBounds:
     wall: int | None
 
     @classmethod
-    def build(cls, point: TiltPoint, cone: ConeGeometry, wall: int | None,
-              delta_grid=DEFAULT_DELTA_GRID) -> "FarBounds":
+    def build(cls, point: TiltPoint, cone: ConeGeometry,
+              wall: int | None) -> "FarBounds":
         if wall is None:
             thetas = (wall_decay_exponent(point, cone.f1),
                       wall_decay_exponent(point, cone.f2))
@@ -331,11 +331,10 @@ class FarBounds:
                 return []
             return [(d, g)] if g > 0.0 else []
 
-        grid = sorted({float(d) for d in delta_grid if d > 0.0}, reverse=True)
-        pairs = [p for d in grid for p in pairs_at(d)]
+        pairs = [p for d in DELTA_GRID for p in pairs_at(d)]
         # Any d > 0 certifies: a level set too thin across the wall for the
         # whole grid is tried at halved offsets while they still move a.
-        d = min(grid, default=0.0)
+        d = DELTA_GRID[-1]
         while not pairs and (a + d / 2 * f_i != a).any():
             d /= 2
             pairs = pairs_at(d)
@@ -422,8 +421,7 @@ def _bracket_field(domain: TruncatedDomain, b: np.ndarray, far_values,
 
 
 def exit_expectation(domain: TruncatedDomain, a: TiltPoint, wall: int | None = None,
-                     through: int | None = None,
-                     delta_grid=DEFAULT_DELTA_GRID) -> HarmonicField:
+                     through: int | None = None) -> HarmonicField:
     """Enclose ``E_z[g(S at exit); exit happens]`` for every domain state,
     for the walk with the domain's law, killed outside the domain's cone.
 
@@ -432,7 +430,8 @@ def exit_expectation(domain: TruncatedDomain, a: TiltPoint, wall: int | None = N
     strictly before the other (all exits for None); an exit across both
     at once counts for the payoff's wall, or wall 1.  The walk itself is
     not tilted; ``a`` only enters the payoff, and must lie in the closed
-    unit level set for the truncation bounds to be certified.
+    unit level set for the truncation bounds, :meth:`FarBounds.build`'s
+    over the fixed :data:`DELTA_GRID`, to be certified.
     """
     for name, value in (("wall", wall), ("through", through)):
         if value not in (None, 1, 2):
@@ -455,7 +454,7 @@ def exit_expectation(domain: TruncatedDomain, a: TiltPoint, wall: int | None = N
     def far_values(pts):
         pts = pts.astype(float)
         e_ay = np.exp(_guarded(pts @ point.a, where))
-        bounds = FarBounds.build(point, cone, wall, delta_grid)
+        bounds = FarBounds.build(point, cone, wall)
         return bounds.values(through, e_ay, pts @ cone.f1, pts @ cone.f2)
 
     return _bracket_field(domain, b, far_values)
@@ -467,16 +466,15 @@ def survival_probability(domain: TruncatedDomain, a: TiltPoint) -> HarmonicField
     The walk has the domain's law, tilted by ``a``: it moves with
     substochastic weights ``p(w) exp(a.w)``; the per-step mass deficit
     acts as a kill event and killed paths never exit.  Lower substitute
-    on the far frontier comes from the wall decay exponents (survival
-    from ``y`` is at least ``1 - sum_i exp(-theta_i f_i.y)``); the upper
-    substitute is the trivial bound 1.
+    on the far frontier comes from :class:`FarBounds`' wall decay exponents
+    (survival from ``y`` is at least ``1 - sum_i exp(-theta_i f_i.y)``);
+    the upper substitute is the trivial bound 1.
     """
     cone = domain.cone
     point = _as_tilt(domain.law, a)
 
     def far_values(pts):
-        th1 = wall_decay_exponent(point, cone.f1)
-        th2 = wall_decay_exponent(point, cone.f2)
+        th1, th2 = FarBounds.build(point, cone, None).thetas
         pts = pts.astype(float)
         lo = np.maximum(0.0, 1.0 - np.exp(-th1 * (pts @ cone.f1))
                         - np.exp(-th2 * (pts @ cone.f2)))

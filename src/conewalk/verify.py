@@ -30,8 +30,8 @@ from .harmonic import (HarmonicSpec, build_h, check_positive,
 from .montecarlo import (RngSpec, _check_sampling, absorption_crosscheck,
                          local_irreducibility_scan, overshoot_moment)
 from .quadrant_reference import reference_harmonic
-from .solver import (DEFAULT_DELTA_GRID, HarmonicField, TruncatedDomain,
-                     build_domain, exit_expectation, harmonicity_residual,
+from .solver import (HarmonicField, TruncatedDomain, build_domain,
+                     exit_expectation, harmonicity_residual,
                      survival_probability)
 from .steplaw import StepLaw
 from .tiltgeom import TiltPoint, normal_direction, point_with_normal, tilt_point
@@ -215,8 +215,7 @@ def check_quadrant_reference(specs):
         h = build_h(spec, domain)
         # The reference's wall 1 is the line x = 0, whatever the ray order.
         wall = spec.wall and (1 if cone.normal_ints(spec.wall) == (1, 0) else 2)
-        ref = reference_harmonic(atoms, tuple(spec.tilt.a), wall, 24,
-                                 DEFAULT_DELTA_GRID)
+        ref = reference_harmonic(atoms, tuple(spec.tilt.a), wall, 24)
         idx = [domain.index_of(z) for z in ref]
         dev = np.column_stack([h.lo[idx], h.hi[idx]]) - list(ref.values())
         worst = _worst(worst, np.abs(dev).max())
@@ -337,9 +336,11 @@ def run_model_suite(specs: list[HarmonicSpec], seed: int, mc_samples: int = MC_S
     cache, so the suite makes the same factorisations in either order.
     The checks share nothing else, and each draws from its own seeded
     stream, so the order changes no result.  A horizon or sample count
-    below 1 is refused before any check runs.
+    below 1, or a negative seed, is refused before any check runs.
     """
     _check_sampling(horizon, mc_samples)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
     law, cone = specs[0].law, specs[0].cone
     tilts = _suite_tilts(specs)
     d100 = build_domain(cone, law, 100)

@@ -197,6 +197,23 @@ atom 0 -1 0.25
                      flag, "0"]) == 3
         assert capsys.readouterr().err == f"invalid input: {message}\n"
 
+    @pytest.mark.parametrize("config,argv", [
+        (GOOD_CONFIG, ["--seed", "-1"]),
+        (GOOD_CONFIG.replace("seed 5", "seed -1"), [])],
+        ids=["flag", "config-line"])
+    def test_verify_refuses_negative_seed_before_any_check(
+            self, tmp_path, capsys, monkeypatch, config, argv):
+        from conewalk import verify
+        ran = []
+        for name, _ in verify.CRITERIA:  # the runner looks checks up by name
+            monkeypatch.setattr(verify, name,
+                                lambda *args, name=name: ran.append(name))
+        path = write_config(tmp_path, config)
+        assert main(["--config", str(path), "--quiet", "verify", *argv]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid input: seed must be non-negative, not -1"]
+        assert ran == []
+
     @pytest.mark.parametrize("command", [
         ["harmonic", "--q=1,1"], ["martin", "--q=1,1"], ["boundary"],
         ["verify"]], ids=lambda argv: argv[0])

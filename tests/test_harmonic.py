@@ -220,6 +220,20 @@ class TestCrossExitBound:
         terms = [r.hi for r in results]
         assert terms[-1] < terms[0]
 
+    def test_bracket_is_the_shipped_through_wall_field(self, law4,
+                                                       quadrant_cone):
+        # The checked bracket is the one every caller of exit_expectation
+        # gets: delta enters only the analytic bound.
+        d = build_domain(quadrant_cone, law4, 12)
+        spec = spec_for_endpoint(law4, quadrant_cone, 1)
+        z = (12, 12)
+        res = cross_exit_bound(spec, d, z, 0.07)
+        u = exit_expectation(d, spec.tilt, wall=1, through=2)
+        k = d.index_of(z)
+        scale = math.exp(-float(spec.tilt.a @ np.array(z, dtype=float)))
+        assert (res.lo, res.hi) == (float(u.lo[k]) * scale,
+                                    float(u.hi[k]) * scale)
+
     def test_symmetric_swap(self, law4, quadrant_cone):
         d = build_domain(quadrant_cone, law4, 30)
         s1 = spec_for_endpoint(law4, quadrant_cone, 1)

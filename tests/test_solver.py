@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -17,9 +18,10 @@ from conewalk import (DomainSizeError, StepLaw, build_cone,
                       spec_for_endpoint, steplaw, survival_probability,
                       tilt_point)
 from conewalk.cli import _default_probes
-from conewalk.solver import (EXIT, FAR, HarmonicField, ResidualReport,
-                             _exit_mask, _free_green_bound, _gauss_seidel,
-                             _SweepOperator)
+from conewalk.montecarlo import RngSpec, absorption_crosscheck
+from conewalk.solver import (DELTA_GRID, EXIT, FAR, HarmonicField,
+                             ResidualReport, _exit_mask, _free_green_bound,
+                             _gauss_seidel, _SweepOperator)
 from conewalk.verify import boundary_specs, check_bracket_invariants
 
 
@@ -459,6 +461,37 @@ class TestExitExpectation:
         bounds = solver.FarBounds.build(point, quadrant_cone, wall)
         assert len(calls) == solves
         assert (bounds.thetas is None) == (wall is not None)
+
+    def test_tilt_exponents_have_one_source(self, law5, quadrant_cone,
+                                            monkeypatch):
+        # Survival, every exit payoff and the sampler's escape distances
+        # all take a tilt's exponents from FarBounds.build.
+        callers = []
+        for name in ("wall_decay_exponent", "largest_level_shift"):
+            original = getattr(sys.modules["conewalk.tiltgeom"], name)
+
+            def recorded(*args, original=original):
+                callers.append(sys._getframe(1).f_code.co_qualname)
+                return original(*args)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("conewalk") and \
+                        getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, recorded)
+        d = build_domain(quadrant_cone, law5, 12)
+        point = spec_for_endpoint(law5, quadrant_cone, 1).tilt
+        survival_probability(d, point)
+        for wall in (None, 1, 2):
+            exit_expectation(d, point, wall=wall)
+        absorption_crosscheck(d, point, (4, 4), horizon=50, n=20,
+                              rng=RngSpec(3))
+        # A caller nested in build, as its pairs_at is, counts as build.
+        assert callers and {caller.split(".<locals>.")[0]
+                            for caller in callers} == {"FarBounds.build"}
+
+    def test_offset_grid_is_positive_and_decreasing(self):
+        assert DELTA_GRID[-1] > 0.0
+        assert all(a > b for a, b in zip(DELTA_GRID, DELTA_GRID[1:]))
 
     def test_bracket_nesting_across_radii(self, law4, law5, quadrant_cone):
         for law in (law4, law5):
