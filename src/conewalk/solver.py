@@ -32,7 +32,7 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -403,17 +403,26 @@ def _as_tilt(law: StepLaw, point: TiltPoint) -> TiltPoint:
     return point
 
 
-def _bracket_field(domain: TruncatedDomain, b: np.ndarray, far_values,
-                   tilt: TiltPoint | None = None) -> HarmonicField:
-    """Both brackets of ``(I - P_a) x = b + far`` from one two-column solve,
-    ``a`` the tilt point ``tilt`` (None: untilted).  ``far_values(points)``
-    is the lower and upper comparison function at any points; ``far`` is
-    their values at the far-frontier successors, with the kernel's weights."""
+class _BracketSystem(NamedTuple):
+    """One field's system ``(I - P_a) x = b + far``, ``a`` the tilt point
+    ``tilt`` (None: untilted).  ``pair(points)`` is its lower and upper
+    comparison function at any cone points; ``far`` is their values at the
+    far-frontier successors, with the kernel's weights."""
+
+    domain: TruncatedDomain
+    b: np.ndarray
+    pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    tilt: TiltPoint | None = None
+
+
+def _bracket_field(system: _BracketSystem) -> HarmonicField:
+    """Both brackets of ``system`` from one two-column solve."""
+    domain, b, pair, tilt = system
     w = domain.law.probs if tilt is None else tilt.weights
     B = np.column_stack([b, b])
     src, atom, pts = domain.successors(FAR)
     if len(src):
-        for col, vals in zip(B.T, far_values(pts)):
+        for col, vals in zip(B.T, pair(pts)):
             col += np.bincount(src, weights=w[atom] * vals,
                                minlength=domain.n_states)
     lo, hi = domain.solve(B, tilt).T
@@ -433,6 +442,12 @@ def exit_expectation(domain: TruncatedDomain, a: TiltPoint, wall: int | None = N
     unit level set for the truncation bounds, :meth:`FarBounds.build`'s
     over the fixed :data:`DELTA_GRID`, to be certified.
     """
+    return _bracket_field(_exit_system(domain, a, wall, through))
+
+
+def _exit_system(domain: TruncatedDomain, a: TiltPoint, wall: int | None,
+                 through: int | None) -> _BracketSystem:
+    """:func:`exit_expectation`'s system and comparison pair."""
     for name, value in (("wall", wall), ("through", through)):
         if value not in (None, 1, 2):
             raise ValueError(f"{name} must be None, 1 or 2, not {value!r}")
@@ -451,13 +466,13 @@ def exit_expectation(domain: TruncatedDomain, a: TiltPoint, wall: int | None = N
     b = np.bincount(src, weights=law.probs[atom] * g * mask,
                     minlength=domain.n_states)
 
-    def far_values(pts):
+    def pair(pts):
         pts = pts.astype(float)
         e_ay = np.exp(_guarded(pts @ point.a, where))
         bounds = FarBounds.build(point, cone, wall)
         return bounds.values(through, e_ay, pts @ cone.f1, pts @ cone.f2)
 
-    return _bracket_field(domain, b, far_values)
+    return _BracketSystem(domain, b, pair)
 
 
 def survival_probability(domain: TruncatedDomain, a: TiltPoint) -> HarmonicField:
@@ -470,22 +485,26 @@ def survival_probability(domain: TruncatedDomain, a: TiltPoint) -> HarmonicField
     (survival from ``y`` is at least ``1 - sum_i exp(-theta_i f_i.y)``);
     the upper substitute is the trivial bound 1.
     """
+    field = _bracket_field(_survival_system(domain, a))
+    for v in (field.lo, field.hi):  # clipping is monotone: still ordered
+        np.clip(v, 0.0, 1.0, out=v)
+    return field
+
+
+def _survival_system(domain: TruncatedDomain, a: TiltPoint) -> _BracketSystem:
+    """:func:`survival_probability`'s system and comparison pair."""
     cone = domain.cone
     point = _as_tilt(domain.law, a)
 
-    def far_values(pts):
+    def pair(pts):
         th1, th2 = FarBounds.build(point, cone, None).thetas
         pts = pts.astype(float)
         lo = np.maximum(0.0, 1.0 - np.exp(-th1 * (pts @ cone.f1))
                         - np.exp(-th2 * (pts @ cone.f2)))
         return lo, np.ones(len(pts))
 
-    field = _bracket_field(domain,
-                           np.full(domain.n_states, max(0.0, 1.0 - point.value)),
-                           far_values, tilt=point)
-    for v in (field.lo, field.hi):  # clipping is monotone: still ordered
-        np.clip(v, 0.0, 1.0, out=v)
-    return field
+    b = np.full(domain.n_states, max(0.0, 1.0 - point.value))
+    return _BracketSystem(domain, b, pair, point)
 
 
 @functools.lru_cache(maxsize=16)
@@ -522,11 +541,16 @@ def green_column(domain: TruncatedDomain, target) -> HarmonicField:
     Green bound (:func:`_free_green_bound`) there, since the killed walk
     visits ``target`` no more often than the free walk.
     """
+    return _bracket_field(_green_system(domain, target))
+
+
+def _green_system(domain: TruncatedDomain, target) -> _BracketSystem:
+    """:func:`green_column`'s system and comparison pair."""
     law = domain.law
     t = domain.index_of(target)
     b = np.zeros(domain.n_states)
     b[t] = 1.0
-    return _bracket_field(domain, b, lambda pts: (
+    return _BracketSystem(domain, b, lambda pts: (
         np.zeros(len(pts)), _free_green_bound(law, pts - domain.states[t])))
 
 

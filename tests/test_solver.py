@@ -287,11 +287,11 @@ class TestSuccessorTableProperties:
         assert harmonicity_residual(h) == reference_residual(h)
 
 
-def comparison_excess(domain, b, far_values, tilt, a) -> float:
+def comparison_excess(system, a) -> float:
     """The worst of ``A phi_lo - (b + far_lo)`` and ``(b + far_hi) - A phi_hi``
     over the states, less a rounding margin, for the comparison pair
-    ``phi = far_values`` of the system ``(I - P) x = b + far`` that a field
-    hands to ``_bracket_field``; ``a`` is the payoff's tilt.
+    ``phi = pair`` of a field's system ``(domain, b, pair, tilt)``, which
+    reads ``(I - P) x = b + far``; ``a`` is the payoff's tilt.
 
     ``A = I - P`` is applied through the successor table, and the far
     terms are weighted by the kernel's weights.  The margin is 1e-12 of
@@ -299,10 +299,11 @@ def comparison_excess(domain, b, far_values, tilt, a) -> float:
     term covers ``f_i.y``, which rounds to about 1e-16 |y| where it is 0
     on a wall with an irrational unit normal.
     """
+    domain, b, pair, tilt = system
     law, n = domain.law, domain.n_states
     w = law.probs if tilt is None else tilt.weights
     src, atom, pts = domain.successors(FAR)
-    phi = np.split(np.vstack(far_values(np.vstack([domain.states, pts]))),
+    phi = np.split(np.vstack(pair(np.vstack([domain.states, pts]))),
                    [n], axis=1)
     e_src, e_atom, e_pts = domain.successors(EXIT)
     exits = np.bincount(e_src, minlength=n, weights=law.probs[e_atom]
@@ -320,19 +321,35 @@ def comparison_excess(domain, b, far_values, tilt, a) -> float:
     return worst
 
 
-def capture(systems):
-    """Stands in for ``_bracket_field``: appends the system, unsolved, to
-    ``systems`` and returns a zero field, which survival clips."""
-    def bracket_field(domain, b, far_values, tilt=None):
-        systems.append((domain, b, far_values, tilt))
-        return HarmonicField(domain, np.zeros(domain.n_states),
-                             np.zeros(domain.n_states))
-    return bracket_field
+def field_systems(d):
+    """``(a, build)`` for the systems of many fields on domain ``d``: each
+    ``build()`` returns one field's ``solver._BracketSystem``, and ``a`` is
+    its payoff's tilt."""
+    law, cone = d.law, d.cone
+    e1, e2 = (spec_for_endpoint(law, cone, i).tilt for i in (1, 2))
+    mid = point_with_normal(law, cone.c1 + cone.c2)
+    # Each endpoint tilt with the plain payoff and its own wall's.  At
+    # endpoint i, wall j's bound shifts out along f_j and back along
+    # -f_i, which is tangent there, so no shift reaches the level set
+    # (FarBounds.build refuses), except through rounding.
+    payoffs = [(e1, (None, 1)), (e2, (None, 2)),
+               (mid, (None, 1, 2)),
+               (tilt_point(law, 0.5 * (e1.a + e2.a)), (None, 1, 2))]
+    systems = [(p.a, functools.partial(solver._exit_system, d, p, wall, through))
+               for p, walls in payoffs for wall in walls
+               for through in (None, 1, 2)]
+    systems.append((np.zeros(2), functools.partial(
+        solver._green_system, d, d.states[d.n_states // 2])))
+    # Survival at each drawn tilt, and at sub-unit tilts including 0.
+    sub_unit = [tilt_point(law, t * mid.a) for t in (0.0, 0.5)]
+    systems += [(p.a, functools.partial(solver._survival_system, d, p))
+                for p in [p for p, _ in payoffs] + sub_unit]
+    return systems
 
 
 class TestComparisonFunctions:
     """The far-frontier comparison pair of every field is a sub- and a
-    supersolution of its truncated system (ROADMAP item 7's first
+    supersolution of its truncated system (ROADMAP item 8's first
     property); certified sweeps started from it rest on this.
 
     Survival's pair at tilt ``a``: its lower function ``max(0, 1 - s1 -
@@ -348,30 +365,37 @@ class TestComparisonFunctions:
     def test_pair_brackets_every_system(self, model):
         law, cone, radius, _ = model
         assume(steplaw._failed_hypothesis(law) is None)
-        d = _small_domain(law, cone, radius)
-        e1, e2 = (spec_for_endpoint(law, cone, i).tilt for i in (1, 2))
-        mid = point_with_normal(law, cone.c1 + cone.c2)
-        # Each endpoint tilt with the plain payoff and its own wall's.  At
-        # endpoint i, wall j's bound shifts out along f_j and back along
-        # -f_i, which is tangent there, so no shift reaches the level set
-        # (FarBounds.build refuses), except through rounding.
-        payoffs = [(e1, (None, 1)), (e2, (None, 2)),
-                   (mid, (None, 1, 2)),
-                   (tilt_point(law, 0.5 * (e1.a + e2.a)), (None, 1, 2))]
-        calls = [(p.a, functools.partial(exit_expectation, d, p, wall, through))
-                 for p, walls in payoffs for wall in walls
-                 for through in (None, 1, 2)]
-        calls.append((np.zeros(2), functools.partial(
-            green_column, d, d.states[d.n_states // 2])))
-        # Survival at each drawn tilt, and at sub-unit tilts including 0.
-        sub_unit = [tilt_point(law, t * mid.a) for t in (0.0, 0.5)]
-        calls += [(p.a, functools.partial(survival_probability, d, p))
-                  for p in [p for p, _ in payoffs] + sub_unit]
-        for a, field in calls:
-            systems = []
-            with mock.patch.object(solver, "_bracket_field", capture(systems)):
-                field()
-            assert comparison_excess(*systems[0], a) <= 0.0, field
+        for a, build in field_systems(_small_domain(law, cone, radius)):
+            assert comparison_excess(build(), a) <= 0.0, build
+
+    @pytest.mark.parametrize("angles", [(10.0, 100.0), (20.0, 110.0),
+                                        (-30.0, 75.0), (0.0, 90.0)])
+    @pytest.mark.parametrize("law", ["law4", "law5"])
+    def test_pair_brackets_every_system_on_irrational_cones(self, law, angles,
+                                                             request):
+        # Float membership with its guard band, and unit normals that round.
+        law = request.getfixturevalue(law)
+        d = build_domain(build_cone_from_angles(*angles), law, 20)
+        for a, build in field_systems(d):
+            assert comparison_excess(build(), a) <= 0.0, build
+
+    @settings(max_examples=15)
+    @given(small_models(max_radius=30))
+    def test_pair_lies_outside_the_solved_bracket(self, model):
+        # A sub- or supersolution of an M-matrix system bounds its solution
+        # from its own side, so sweeps started from the pair stay on their
+        # side of the direct bracket.  The margin is 1e-12 of the state's
+        # own scale.
+        law, cone, radius, _ = model
+        assume(steplaw._failed_hypothesis(law) is None)
+        for _, build in field_systems(_small_domain(law, cone, radius)):
+            system = build()
+            field = solver._bracket_field(system)
+            lo, hi = system.pair(system.domain.states)
+            margin = 1e-12 * (np.abs(lo) + np.abs(hi) + np.abs(field.lo)
+                              + np.abs(field.hi))
+            assert (lo - field.lo <= margin).all(), build
+            assert (field.hi - hi <= margin).all(), build
 
 
 class TestBracketInvariants:
