@@ -211,21 +211,28 @@ def cross_exit_bound(spec: HarmonicSpec, domain: TruncatedDomain, z,
     wherever ``(delta*f_i - eps*f_j).z < 0``.  ``lo`` and ``hi`` are
     :func:`exit_expectation`'s through-wall field times ``exp(-a.z)``.
     """
-    if spec.wall is None:
-        raise ValueError("cross-exit bound needs an endpoint-branch spec")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
+    return _cross_exit_bounds(spec, domain)(z, delta)
+
+
+def _cross_exit_bounds(spec: HarmonicSpec, domain: TruncatedDomain):
+    """:func:`cross_exit_bound` at any state ``z`` and positive ``delta``,
+    from one solve of the through-wall field."""
+    if spec.wall is None:
+        raise ValueError("cross-exit bound needs an endpoint-branch spec")
     _check_cone(spec, domain)
-    i = spec.wall
-    j = 3 - i
-    f_i = spec.cone.normal(i)
-    f_j = spec.cone.normal(j)
-    eps = epsilon_for_delta(spec.tilt, delta, f_i, f_j)
+    i, j = spec.wall, 3 - spec.wall
+    f_i, f_j = spec.cone.normal(i), spec.cone.normal(j)
     u = exit_expectation(domain, spec.tilt, wall=i, through=j)
-    k = domain.index_of(z)
-    zv = np.asarray(z, dtype=float)
-    scale = math.exp(-float(spec.tilt.a @ zv))
-    exponent = float((delta * f_i - eps * f_j) @ zv)
-    return CrossExitBound(lo=float(u.lo[k]) * scale, hi=float(u.hi[k]) * scale,
-                          bound=(1.0 / delta) * math.exp(exponent),
-                          eps=eps, delta=delta)
+
+    def bound(z, delta: float) -> CrossExitBound:
+        eps = epsilon_for_delta(spec.tilt, delta, f_i, f_j)
+        k = domain.index_of(z)
+        zv = np.asarray(z, dtype=float)
+        scale = math.exp(-float(spec.tilt.a @ zv))
+        exponent = float((delta * f_i - eps * f_j) @ zv)
+        return CrossExitBound(lo=float(u.lo[k]) * scale, hi=float(u.hi[k]) * scale,
+                              bound=(1.0 / delta) * math.exp(exponent),
+                              eps=eps, delta=delta)
+    return bound

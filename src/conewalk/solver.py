@@ -57,8 +57,8 @@ DIRECT_LIMIT = 200_000
 #: A domain holds at most this many states.
 MAX_STATES = 300_000
 
-#: Points per slab when a domain's box is enumerated or its rows are
-#: listed, which bounds the temporaries of both.
+#: Points per slab when a domain's box is enumerated, and states per block
+#: of the residual check's gathers, which bounds the temporaries of both.
 _CHUNK = 16_384
 
 #: ``splu`` options that factor a unit lower triangle as itself: natural
@@ -118,11 +118,11 @@ class TruncatedDomain:
         # succ[i, k] is the state index of states[i] + steps[k], or EXIT
         # outside the cone, or FAR inside the cone beyond the box.  It is
         # int32, which halves the largest array a domain keeps; a domain of
-        # 2**31 states would not fit in memory.
+        # 2**31 states would not fit in memory.  The box's index grid is
+        # four bytes a box point and dropped once the table is built.
         grid = np.full((2 * r + 1, 2 * r + 1), EXIT, dtype=np.int32)
         grid[states[:, 0] + r, states[:, 1] + r] = np.arange(
             self.n_states, dtype=np.int32)
-        self._grid = grid
         self.succ = np.empty((self.n_states, len(law.steps)), dtype=np.int32)
         for k, step in enumerate(law.steps):
             pts = states + step
@@ -130,16 +130,26 @@ class TruncatedDomain:
             col = self.succ[:, k]
             col[in_box] = grid[pts[in_box, 0] + r, pts[in_box, 1] + r]
             col[~in_box] = np.where(cone.contains_array(pts[~in_box]), FAR, EXIT)
+        del grid
+
+        # A convex cone meets each column of the box in one run of
+        # consecutive y: column x + r holds the states from _start[x + r]
+        # up to _start[x + r + 1], the first at y = _y_low[x + r] (which an
+        # empty column never reads).
+        start = np.searchsorted(states[:, 0], np.arange(-r, r + 2))
+        self._start = start.tolist()
+        self._y_low = states[np.minimum(start[:-1], self.n_states - 1), 1].tolist()
         self._lu_cache: dict = {}
 
     # -- bookkeeping --------------------------------------------------------
 
     def index_of(self, z) -> int:
         x, y, r = int(z[0]), int(z[1]), self.radius
-        i = int(self._grid[x + r, y + r]) if max(abs(x), abs(y)) <= r else EXIT
-        if i < 0:
-            raise KeyError(f"{(x, y)} is not an interior state of this domain")
-        return i
+        if -r <= x <= r:
+            start, i = self._start[x + r], y - self._y_low[x + r]
+            if 0 <= i < self._start[x + r + 1] - start:
+                return start + i
+        raise KeyError(f"{(x, y)} is not an interior state of this domain")
 
     def successors(self, code: int):
         """``(src, atom, points)`` of the successors classed ``code``
@@ -303,7 +313,7 @@ class HarmonicField:
 # -- far-frontier substitute values ----------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class FarBounds:
     """Certified substitute values on the far frontier, per exit bucket."""
 
@@ -315,10 +325,16 @@ class FarBounds:
     @classmethod
     def build(cls, point: TiltPoint, cone: ConeGeometry,
               wall: int | None) -> "FarBounds":
+        """The bounds at ``point`` for ``cone`` and ``wall``, found once per
+        point and cached on it."""
+        cached = point._far_bounds.get((cone, wall))
+        if cached is not None:
+            return cached
         if wall is None:
             thetas = (wall_decay_exponent(point, cone.f1),
                       wall_decay_exponent(point, cone.f2))
-            return cls(thetas=thetas, eps_pairs=(), overshoot_cap=0.0, wall=None)
+            return point._far_bounds.setdefault((cone, wall), cls(
+                thetas=thetas, eps_pairs=(), overshoot_cap=0.0, wall=None))
         a, f_i, f_j = point.a, cone.normal(wall), cone.normal(3 - wall)
 
         def pairs_at(d):
@@ -343,8 +359,8 @@ class FarBounds:
                 "no tangential offset reaches the level set; "
                 "cannot certify the opposite-wall truncation bound")
         cap = float(np.abs(point.law.steps.astype(float) @ f_i).max())
-        return cls(thetas=None, eps_pairs=tuple(pairs),
-                   overshoot_cap=cap, wall=wall)
+        return point._far_bounds.setdefault((cone, wall), cls(
+            thetas=None, eps_pairs=tuple(pairs), overshoot_cap=cap, wall=wall))
 
     def _cross_cap(self, e_ay: np.ndarray, fd_i: np.ndarray,
                    fd_j: np.ndarray) -> np.ndarray:
@@ -584,23 +600,38 @@ def harmonicity_residual(h: HarmonicField) -> ResidualReport:
     eligible = ~(domain.succ == FAR).any(axis=1)
     if not eligible.any():
         return ResidualReport(0, 0.0, 0.0, None)
-    def P(x):  # adds up interior successors in atom order, as CSR P @ x does
-        y = np.zeros_like(x)
-        for p, to in zip(domain.law.probs, domain.succ.T):
-            y[to >= 0] += p * x[to[to >= 0]]
-        return y
+    # Four float n-vectors, each reused once spent: mid, width, res and
+    # excess; P gathers a block of _CHUNK states at a time.  The arithmetic
+    # keeps the order, and so every bit, of mid - P(mid),
+    # res - 0.5 * (width + P(width)) and |mid| + P(|mid|).
+    def P(x, out):  # adds up interior successors in atom order, as CSR P @ x does
+        out.fill(0.0)
+        for start in range(0, domain.n_states, _CHUNK):
+            block = out[start:start + _CHUNK]
+            gathered = np.empty_like(block)
+            for p, to in zip(domain.law.probs, domain.succ[start:start + _CHUNK].T):
+                # "clip" gathers state 0 for the negative codes, which the
+                # mask then drops; "raise" would buffer a copy of gathered.
+                np.take(x, to, out=gathered, mode="clip")
+                gathered *= p
+                np.add(block, gathered, out=block, where=to >= 0)
+        return out
 
     mid, width = h.mid, h.width
-    res = np.abs(mid - P(mid))
-    excess = res - 0.5 * (width + P(width))
-    scale = np.abs(mid, out=width)  # width is spent; its buffer is reused
-    scale += P(scale)
+    res = P(mid, np.empty_like(mid))
+    np.abs(np.subtract(mid, res, out=res), out=res)
+    excess = P(width, np.empty_like(width))
+    excess += width
+    excess *= 0.5
+    np.subtract(res, excess, out=excess)
+    scale = np.abs(mid, out=width)  # mid and width are spent
+    scale += P(scale, mid)
     excess /= np.maximum(scale, 1e-300, out=scale)
     excess[~eligible] = -math.inf
     worst = int(np.argmax(excess))
     return ResidualReport(
         n_evaluated=int(eligible.sum()),
-        max_residual=float(res[eligible].max()),
+        max_residual=float(res.max(where=eligible, initial=-math.inf)),
         relative_excess=float(excess[worst]),
         worst_state=(int(domain.states[worst, 0]), int(domain.states[worst, 1])),
     )

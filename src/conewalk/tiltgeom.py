@@ -42,7 +42,9 @@ NEWTON_STEPS = 80
 class TiltPoint:
     """A tilt vector with cached mgf value, gradient, tilted step weights
     ``p(z) exp(a.z)`` and their sum ``mass`` (``value`` up to the last
-    bit), and classification, for the law it was made for."""
+    bit), and classification, for the law it was made for.  The solver's
+    far-frontier bounds at this tilt are cached on it too, per cone and
+    wall, for as long as the point lives."""
 
     a: np.ndarray
     value: float
@@ -50,6 +52,7 @@ class TiltPoint:
     weights: np.ndarray = field(repr=False)
     mass: float = field(repr=False)
     law: StepLaw = field(repr=False)
+    _far_bounds: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         for arr in (self.a, self.grad, self.weights):

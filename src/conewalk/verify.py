@@ -24,8 +24,8 @@ import numpy as np
 
 from .cone import ConeGeometry, _angle_between
 from .errors import DeltaTooLargeError
-from .harmonic import (HarmonicSpec, build_h, check_positive,
-                       cross_exit_bound, free_harmonic_value,
+from .harmonic import (HarmonicSpec, _cross_exit_bounds, build_h,
+                       check_positive, free_harmonic_value,
                        spec_for_direction, spec_for_endpoint)
 from .montecarlo import (RngSpec, _check_sampling, absorption_crosscheck,
                          local_irreducibility_scan, overshoot_moment)
@@ -248,13 +248,13 @@ def check_cross_exit_bound(endpoint_specs, seed: int):
     ok = True
     worst = -math.inf
     for spec in endpoint_specs:
+        bound_at = _cross_exit_bounds(spec, domain)  # one solve per spec
         for _ in range(20):
             delta = float(np.exp(rng.uniform(math.log(0.05), math.log(0.5))))
             z = interior[rng.integers(0, len(interior))]
             while True:
                 try:
-                    res = cross_exit_bound(spec, domain,
-                                           (int(z[0]), int(z[1])), delta)
+                    res = bound_at((int(z[0]), int(z[1])), delta)
                     break
                 except DeltaTooLargeError:
                     delta *= 0.5

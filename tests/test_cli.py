@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR
-from conewalk.cli import ConfigError, _write_csv, main, parse_config_text
+from conftest import CONFIG_DIR, load_config
+from conewalk import build_domain, build_h
+from conewalk.cli import (ConfigError, _harmonic_rows, _write_csv, main,
+                          parse_config_text)
+from conewalk.verify import boundary_specs
 
 GOOD_CONFIG = """\
 seed 5
@@ -473,3 +476,22 @@ class TestCsvWriter:
         with open(path, newline="") as fh:
             parsed = list(csv.reader(l for l in fh if not l.startswith("#")))
         assert parsed[1:] == [[self._joined(v) for v in row] for row in rows]
+
+
+class TestHarmonicRows:
+    @pytest.mark.parametrize("which", [1, 2])  # endpoint wall 2, bisector
+    def test_small_blocks_of_per_row_formatting(self, which):
+        cfg = load_config("asymmetric")
+        spec = boundary_specs(cfg.law, cfg.cone)[which]
+        h = build_h(spec, build_domain(cfg.cone, cfg.law, 80))
+        blocks = list(_harmonic_rows(h, spec))
+        # Each block's text (and so its format string and values) stays
+        # small, never the whole field at once.
+        assert len(blocks) > 1
+        assert max(len(block) for block in blocks) < 2**18
+        kind = "interior" if spec.wall is None else f"wall{spec.wall}"
+        a1, a2 = spec.tilt.a
+        assert "".join(blocks) == "".join(
+            "%d,%d,%.17g,%.17g,harmonic_%s,%.17g,%.17g\n"
+            % (x, y, lo, hi, kind, a1, a2)
+            for (x, y), lo, hi in zip(h.domain.states.tolist(), h.lo, h.hi))

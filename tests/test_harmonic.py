@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import load_config
 from conewalk import (HarmonicField, build_cone, build_cone_from_angles,
                       build_domain, build_h, check_positive,
                       classify_spec, cross_exit_bound, exit_expectation,
-                      free_harmonic_value, harmonicity_residual,
+                      free_harmonic_value, harmonic, harmonicity_residual,
                       point_with_normal, spec_for_direction,
                       spec_for_endpoint, survival_probability, tilt_point)
+from conewalk.verify import boundary_specs, check_cross_exit_bound
 
 
 class TestSpecClassification:
@@ -259,3 +261,14 @@ class TestCrossExitBound:
         spec = spec_for_direction(law4, quadrant_cone, law4.drift())
         with pytest.raises(ValueError):
             cross_exit_bound(spec, d, (2, 2), 0.1)
+
+    def test_criterion_8_solves_once_per_endpoint_spec(self, monkeypatch):
+        cfg = load_config("asymmetric")
+        specs = boundary_specs(cfg.law, cfg.cone)[:2]
+        solved = []
+        real = harmonic.exit_expectation
+        monkeypatch.setattr(harmonic, "exit_expectation", lambda *args, **kw:
+                            solved.append(kw["wall"]) or real(*args, **kw))
+        ok, detail = check_cross_exit_bound(specs, 5)
+        assert ok, detail
+        assert solved == [1, 2]

@@ -162,6 +162,30 @@ class TestDomain:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("cone", [
+        build_cone((0, 1), (1, 0)), build_cone((1, 0), (1, 1)),
+        build_cone((2, 1), (-1, 3)), build_cone((1, -1), (-1, 2)),
+        build_cone_from_angles(10.0, 100.0), build_cone_from_angles(-80.0, 95.0),
+        build_cone_from_angles(0.0, 26.565051177077994)], ids=lambda c: (
+            f"{c.normal_ints(1)}/{c.normal_ints(2)}" if c.is_exact
+            else f"angles {c.opening_angle:.3f}"))
+    def test_index_of_agrees_with_enumeration(self, law5, cone):
+        # index_of reads each column's run of states; every box point (and
+        # a rim past it) is a state at its enumerated index or a KeyError.
+        r = 13
+        d = build_domain(cone, law5, r)
+        index = {tuple(z): i for i, z in enumerate(d.states.tolist())}
+        for x in range(-r - 3, r + 4):
+            for y in range(-r - 3, r + 4):
+                try:
+                    got = d.index_of((x, y))
+                except KeyError:
+                    got = None
+                assert got == index.get((x, y)), (x, y)
+        # The domain keeps no array the size of its box.
+        kept = [v for v in vars(d).values() if isinstance(v, (np.ndarray, list))]
+        assert max(np.size(v) for v in kept) <= d.n_states * len(law5.steps)
+
     def test_successor_partition_is_exhaustive(self, law5, quadrant_cone):
         d = build_domain(quadrant_cone, law5, 8)
         # every successor is a state, a far-frontier point or an exit point
@@ -486,6 +510,24 @@ class TestExitExpectation:
         assert len(calls) == solves
         assert (bounds.thetas is None) == (wall is not None)
 
+    def test_bounds_are_built_once_per_point_cone_and_wall(
+            self, law5, quadrant_cone, monkeypatch):
+        point = spec_for_endpoint(law5, quadrant_cone, 1).tilt
+        walls = (None, 1, 2)
+        first = [solver.FarBounds.build(point, quadrant_cone, w) for w in walls]
+
+        def refuse(*args):
+            raise AssertionError("a cached build ran a root find")
+        monkeypatch.setattr(solver, "wall_decay_exponent", refuse)
+        monkeypatch.setattr(solver, "largest_level_shift", refuse)
+        assert all(solver.FarBounds.build(point, quadrant_cone, w) is b
+                   for w, b in zip(walls, first))
+        # Another point at the same tilt, or another cone, has its own.
+        for other, cone in ((tilt_point(law5, point.a), quadrant_cone),
+                            (point, build_cone((0, 1), (1, 0)))):
+            with pytest.raises(AssertionError, match="cached build"):
+                solver.FarBounds.build(other, cone, None)
+
     def test_tilt_exponents_have_one_source(self, law5, quadrant_cone,
                                             monkeypatch):
         # Survival, every exit payoff and the sampler's escape distances
@@ -724,6 +766,26 @@ class TestResidual:
         rep = harmonicity_residual(h)
         assert not rep.relative_excess <= 1e-8
         assert rep.worst_state == (3, 3)
+
+    @pytest.mark.parametrize("block,n_vectors", [(None, 5.5), (1_000, 4.5)])
+    def test_temporaries_in_n_vectors(self, monkeypatch, block, n_vectors):
+        # Four n-vectors (mid, width, res, excess), plus one block's gather
+        # buffer, np.take's pointer-sized copy of its indices and the
+        # masks; at R = 100 the default block is the whole domain.  The
+        # 2**17 bytes are numpy's fixed reduction buffers.
+        cfg = load_config("asymmetric")
+        d = build_domain(cfg.cone, cfg.law, 100)
+        h = build_h(spec_for_endpoint(cfg.law, cfg.cone, 1), d)
+        if block is not None:
+            monkeypatch.setattr(solver, "_CHUNK", block)
+        tracemalloc.start()
+        try:
+            rep = harmonicity_residual(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n_vectors * 8 * d.n_states + 2**17
+        assert rep == reference_residual(h)
 
     def test_no_eligible_state(self, law4, cone45):
         # The one state (2,1) steps along (1,0) onto the far frontier, so
